@@ -4,15 +4,21 @@
 bundle S_beta(R) (x) S_alpha(Q) on the Grassmannian G(k, V) of k-dimensional
 quotients of an n-dimensional space: at most one cohomological degree is
 nonzero, and both the degree and the resulting irreducible are produced.
+It validates its input and runs ``bott_kernel``, the one implementation of
+the algorithm, which works on shifted entries gamma + delta and batches
+many alphas against one beta.
+
 ``trivial_isotypic`` and ``wedge_isotypic`` are the closed-form answers for
 when that cohomology contributes a trivial summand, respectively a
-wedge-power summand; they are checked against the algorithm by a sweep in
-the test suite.
+wedge-power summand; the acceptance sweep checks them against the kernel.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from operator import add, neg, sub
 
 from .partitions import Partition, Weight, conjugate, dual, padded, partition, size, weight
 from .qseries import LaurentPoly
@@ -24,6 +30,52 @@ class BottCohomology:
 
     degree: int
     weight: Weight
+
+
+def shifted(w: Weight, top: int) -> tuple[int, ...]:
+    """w_i + top - 1 - i: a block of gamma + delta, for the block w of gamma
+    that starts ``top`` places from the end (``shifted(alpha, n)``,
+    ``shifted(beta, n - k)``).  Strictly decreasing when w is dominant."""
+    return tuple(map(add, w, range(top - 1, top - 1 - len(w), -1)))
+
+
+def unshifted(c: tuple[int, ...]) -> Weight:
+    """Inverse of ``shifted(w, len(w))``: c - delta."""
+    return tuple(map(sub, c, range(len(c) - 1, -1, -1)))
+
+
+class _CountAbove(dict):
+    """v -> #{b in tail : b > v} for the strictly decreasing ``tail``,
+    filled on first lookup."""
+
+    __slots__ = ("tail",)
+
+    def __missing__(self, v: int) -> int:
+        count = self[v] = bisect_left(self.tail, -v, key=neg)
+        return count
+
+
+def bott_kernel(
+    tail: tuple[int, ...], heads: Iterable[tuple[int, ...]]
+) -> Iterator[tuple[int, tuple[int, ...]] | None]:
+    """Bott's algorithm on shifted entries, one beta against many alphas.
+
+    ``tail`` is ``shifted(beta, n-k)`` and each head is ``shifted(alpha, n)``
+    for an alpha of rank k, so both are strictly decreasing tuples; nothing
+    is validated.  Yields, head by head, None when head and tail share an
+    entry, else ``(degree, c)`` with c the n entries sorted decreasingly
+    (the weight is ``unshifted(c)``).  Each block is already sorted, so the
+    degree counts the tail entries above each head entry.
+    """
+    isdisjoint = frozenset(tail).isdisjoint
+    table = _CountAbove()
+    table.tail = tail
+    above = table.__getitem__
+    for head in heads:
+        if isdisjoint(head):
+            yield sum(map(above, head)), tuple(sorted(head + tail, reverse=True))
+        else:
+            yield None
 
 
 def bott(alpha: Weight, beta: Weight, n: int) -> BottCohomology | None:
@@ -41,16 +93,11 @@ def bott(alpha: Weight, beta: Weight, n: int) -> BottCohomology | None:
     k = len(alpha)
     if not 0 <= k <= n or len(beta) != n - k:
         raise ValueError(f"rank mismatch: |alpha|={k}, |beta|={len(beta)}, n={n}")
-    gamma = alpha + beta
-    c = [gamma[i] + n - 1 - i for i in range(n)]
-    if len(set(c)) != n:
+    c = shifted(alpha + beta, n)
+    res = next(bott_kernel(c[k:], (c[:k],)))
+    if res is None:
         return None
-    # within each of the two blocks c is strictly decreasing, so all
-    # inversions pair the alpha block with the beta block
-    head, tail = c[:k], c[k:]
-    degree = sum(1 for a in head for b in tail if a < b)
-    c.sort(reverse=True)
-    return BottCohomology(degree, tuple(c[i] - (n - 1 - i) for i in range(n)))
+    return BottCohomology(res[0], unshifted(res[1]))
 
 
 def sigma_of_partition(t: Partition, k: int, n: int) -> tuple[int, ...]:

@@ -10,8 +10,9 @@ Ext(J_p, S) is computed by three independent routes:
   parametrizes the nonvanishing layers, reconstructing each layer and its
   associated bundle weight and summing the resulting powers of q;
 * ``witness_ext_bott``     -- the sheaf-cohomology route: expand the dual
-  twisted symmetric algebra on the Grassmannian, run the Bott algorithm on
-  every summand, and keep the terms landing on the witness weight.
+  twisted symmetric algebra on the Grassmannian, run the Bott kernel on
+  every summand against the layer's fixed sub-bundle weight, and keep the
+  terms landing on the witness weight.
 
 ``ext_character`` computes the full graded character of Ext(J_{x,p}, S) for
 a single subquotient, truncated to a finite window of weight sizes.
@@ -22,6 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
+from operator import add
 
 from .characters import SKEW, SYMM, SimpleLabel, _check_space, witness_weight
 from .partitions import (
@@ -36,7 +38,7 @@ from .partitions import (
     partitions_of_size,
 )
 from .qseries import LaurentPoly, gauss
-from .bott import bott
+from .bott import bott_kernel, shifted
 
 
 @dataclass
@@ -124,11 +126,13 @@ def _layer_witness_poly(space: str, n: int, p: int, x: Partition, target: Weight
     needed = base - sum(target_mu)
     if needed < 0 or needed % 2:
         return LaurentPoly.zero()
+    target_c = shifted(target_mu, n)
+    heads = (shifted(_alpha_family(space, head, p, y), n)
+             for y in partitions_of_size(needed // 2, p))
     total = LaurentPoly.zero()
-    for y in partitions_of_size(needed // 2, p):
-        res = bott(_alpha_family(space, head, p, y), x2, n)
-        if res is not None and res.weight == target_mu:
-            total = total + LaurentPoly.q(top - res.degree)
+    for res in bott_kernel(shifted(x2, n - k), heads):
+        if res is not None and res[1] == target_c:
+            total = total + LaurentPoly.q(top - res[0])
     return total
 
 
@@ -154,17 +158,17 @@ def ext_character(space: str, n: int, x: Partition, p: int, bound: int) -> Grade
             f"window |size| <= {bound} lies above every output "
             f"(maximal size is {base_final}); increase the bound"
         )
+    # the final weight is the sorted shifted entries minus delta, plus shift
+    offsets = range(shift - n + 1, shift + 1)
+    heads = (shifted(_alpha_family(space, head, p, y), n)
+             for half in range((base_final + bound) // 2 + 1)
+             if -bound <= base_final - 2 * half <= bound
+             for y in partitions_of_size(half, p))
     by_degree: dict[int, Counter] = {}
-    for half in range((base_final + bound) // 2 + 1):
-        fsize = base_final - 2 * half
-        if not -bound <= fsize <= bound:
-            continue
-        for y in partitions_of_size(half, p):
-            res = bott(_alpha_family(space, head, p, y), x2, n)
-            if res is None:
-                continue
-            final = tuple(w + shift for w in res.weight)
-            by_degree.setdefault(top - res.degree, Counter())[final] += 1
+    for res in bott_kernel(shifted(x2, n - k), heads):
+        if res is not None:
+            final = tuple(map(add, res[1], offsets))
+            by_degree.setdefault(top - res[0], Counter())[final] += 1
     return GradedCharacter(by_degree, bound)
 
 

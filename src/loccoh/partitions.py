@@ -11,9 +11,23 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from math import comb
+from operator import index, lt
 
 Partition = tuple[int, ...]
 Weight = tuple[int, ...]
+
+
+_EXACT_INT = frozenset((int,))
+
+
+def _integers(entries: Iterable[int]) -> tuple[int, ...]:
+    """The entries as a tuple of ints; floats, strings and bools raise."""
+    t = tuple(entries)
+    if _EXACT_INT.issuperset(map(type, t)):
+        return t
+    if bool in map(type, t):
+        raise TypeError(f"bool entry in {t}")
+    return tuple(map(index, t))
 
 
 def partition(parts: Iterable[int]) -> Partition:
@@ -22,16 +36,13 @@ def partition(parts: Iterable[int]) -> Partition:
     >>> partition([3, 1, 0])
     (3, 1)
     """
-    t = tuple(int(a) for a in parts)
-    for i in range(len(t) - 1):
-        if t[i] < t[i + 1]:
-            raise ValueError(f"parts are not non-increasing: {t}")
+    t = _integers(parts)
+    if any(map(lt, t, t[1:])):
+        raise ValueError(f"parts are not non-increasing: {t}")
     if t and t[-1] < 0:
         raise ValueError(f"negative part in partition: {t}")
-    n = len(t)
-    while n and t[n - 1] == 0:
-        n -= 1
-    return t[:n]
+    # parts are non-increasing and non-negative, so the zeros trail
+    return t[:len(t) - t.count(0)]
 
 
 def weight(entries: Iterable[int], rank: int | None = None) -> Weight:
@@ -40,10 +51,9 @@ def weight(entries: Iterable[int], rank: int | None = None) -> Weight:
     Padding appends zeros, which is only legal while the result stays
     non-increasing (i.e. the last entry is >= 0).
     """
-    t = tuple(int(a) for a in entries)
-    for i in range(len(t) - 1):
-        if t[i] < t[i + 1]:
-            raise ValueError(f"entries are not non-increasing: {t}")
+    t = _integers(entries)
+    if any(map(lt, t, t[1:])):
+        raise ValueError(f"entries are not non-increasing: {t}")
     if rank is not None:
         if len(t) > rank:
             raise ValueError(f"weight {t} has more than {rank} entries")

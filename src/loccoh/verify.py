@@ -14,8 +14,9 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain
+from itertools import combinations
 
+from .bott import bott_kernel, shifted, trivial_isotypic, unshifted, wedge_isotypic
 from .characters import (
     SKEW,
     SYMM,
@@ -35,14 +36,7 @@ from .cohomology import (
     top_support,
 )
 from .extmult import ext_character, witness_ext_bott, witness_ext_closed, witness_ext_enum
-from .partitions import (
-    conjugate,
-    dual,
-    enumerate_box,
-    enumerate_weights,
-    padded,
-    size,
-)
+from .partitions import enumerate_box, padded, size
 from .qseries import LaurentPoly, gauss, gauss_enum
 
 Check = tuple[bool, dict | None, str]
@@ -51,7 +45,7 @@ Check = tuple[bool, dict | None, str]
 def check_gauss_identities(max_n: int | None = None, bound: int | None = None) -> Check:
     """Product formula vs box enumeration, complement, symmetry and
     palindromicity of the Gauss polynomials."""
-    top = max_n or 12
+    top = 12 if max_n is None else max_n
     powers = (1, 2, 4, -4)
     for a in range(top + 1):
         for b in range(a + 1):
@@ -77,67 +71,65 @@ def check_gauss_identities(max_n: int | None = None, bound: int | None = None) -
 
 
 def check_bott_predicate_agreement(max_n: int | None = None, bound: int | None = None) -> Check:
-    """Sweep the Bott algorithm against the closed-form isotypic predicates.
+    """Sweep the Bott kernel against the closed-form isotypic predicates.
 
     For every k <= n, every beta with at most n-k parts of size at most
-    k+2 and every dominant alpha with entries in [-n-2, n+2], the algorithm
+    k+2 and every dominant alpha with entries in [-n-2, n+2], the kernel
     hits the trivial weight (resp. the wedge weight of index s, where the
-    predicate applies) for exactly the (alpha, beta) the predicate names,
-    in degree |beta|.
+    predicate applies) for exactly the alpha that ``trivial_isotypic``
+    (resp. ``wedge_isotypic``) names, in the degree its polynomial gives.
+    Counterexamples name the first failing alpha in enumeration order.
     """
-    top = max_n or 7
+    top = 7 if max_n is None else max_n
     checked = 0
     for n in range(1, top + 1):
         for k in range(1, n + 1):
             r = n - k
-            # weight multisets of delta + (0^s, (-1)^(n-s))
-            targets = {
-                frozenset(chain(range(n - s, n), range(-1, n - s - 1))): s
-                for s in range(n - k, n + 1)
-            }
+            # shifted wedge weights (0^s, (-1)^(n-s)); s = n is the trivial one
+            targets = {shifted((0,) * s + (-1,) * (n - s), n): s for s in range(r, n + 1)}
+            # shifted alpha entries; combinations yields the heads of
+            # enumerate_weights(k, -n-2, n+2) in the same order
+            span = range(2 * n + 1, -k - 3, -1)
             for beta in enumerate_box(r, k + 2):
                 bp = padded(beta, r)
-                tail = [bp[i] + (r - 1 - i) for i in range(r)]
-                tailset = frozenset(tail)
-                in_box = (not beta) or beta[0] <= k
-                base = dual(padded(conjugate(beta), k)) if in_box else None
-                sz = size(beta)
-                pred_by_alpha: dict[tuple, int] = {}
-                applicable = set()
-                for s in range(n - k, n + 1):
-                    if all(b >= n - s for b in bp):
-                        applicable.add(s)
-                        if in_box:
-                            alpha = tuple(
-                                a + (0 if i < s - n + k else -1) for i, a in enumerate(base)
-                            )
-                            pred_by_alpha[alpha] = s
-                for alpha in enumerate_weights(k, -n - 2, n + 2):
-                    head = [alpha[i] + (n - 1 - i) for i in range(k)]
-                    full = tailset.union(head)
-                    s_hit = targets.get(full) if len(full) == n else None
-                    if s_hit is not None and s_hit not in applicable:
-                        s_hit = None
-                    if pred_by_alpha.get(alpha) != s_hit:
-                        return False, {
-                            "n": n, "k": k, "alpha": list(alpha), "beta": list(beta),
-                            "predicate_s": pred_by_alpha.get(alpha), "algorithm_s": s_hit,
-                        }, f"n<={top}"
-                    if s_hit is not None:
-                        degree = sum(1 for a in head for b in tail if a < b)
-                        if degree != sz:
-                            return False, {
-                                "n": n, "k": k, "alpha": list(alpha), "beta": list(beta),
-                                "degree": degree, "expected_degree": sz,
-                            }, f"n<={top}"
-                    checked += 1
+                applicable = [s for s in range(r, n + 1) if all(b >= n - s for b in bp)]
+                predicted = {}
+                for s in applicable:
+                    poly, alpha = (trivial_isotypic(beta, k, n) if s == n
+                                   else wedge_isotypic(beta, k, n, s))
+                    if alpha is not None:
+                        predicted[shifted(alpha, n)] = (s, poly)
+                tail = shifted(bp, r)
+                hits = {}
+                # checked counts every (alpha, beta) pair the kernel sees
+                for checked, res in enumerate(
+                    bott_kernel(tail, combinations(span, k)), checked + 1
+                ):
+                    if res is not None:
+                        s = targets.get(res[1])
+                        if s in applicable:
+                            head = tuple(c for c in res[1] if c not in tail)
+                            hits[head] = (s, res[0])
+                # heads run in decreasing lexicographic order
+                for head in sorted(hits.keys() | predicted.keys(), reverse=True):
+                    pred_s, poly = predicted.get(head, (None, None))
+                    alg_s, degree = hits.get(head, (None, None))
+                    if pred_s != alg_s:
+                        failure = {"predicate_s": pred_s, "algorithm_s": alg_s}
+                    elif LaurentPoly.q(degree) != poly:
+                        failure = {"degree": degree, "expected_degree": poly.top_degree()}
+                    else:
+                        continue
+                    alpha = list(unshifted(head + tail)[:k])
+                    return False, {"n": n, "k": k, "alpha": alpha, "beta": list(beta),
+                                   **failure}, f"n<={top}"
     return True, None, f"n<={top}, beta in P(n-k,k+2), alpha entries in [-n-2,n+2] ({checked} pairs)"
 
 
 def check_example_reproduction(max_n: int | None = None, bound: int | None = None) -> Check:
     """The symmetric n=3, x=(2,2,0), p=1 subquotient: its fourth Ext module
     is exactly the irreducible of highest weight (5,5,4), of dimension 3."""
-    window = bound or 14
+    window = 14 if bound is None else bound
     gc = ext_character(SYMM, 3, (2, 2, 0), 1, window)
     got = gc.at(4)
     if got != Counter({(5, 5, 4): 1}):
@@ -163,8 +155,8 @@ def _triple_cases(max_skew_n: int, max_symm_n: int):
 def check_ext_triple_agreement(max_n: int | None = None, bound: int | None = None) -> Check:
     """Closed form == box enumeration == sheaf cohomology for every witness
     multiplicity, over every valid index."""
-    skew_top = max_n or 8
-    symm_top = max_n or 7
+    skew_top = 8 if max_n is None else max_n
+    symm_top = 7 if max_n is None else max_n
     count = 0
     for space, n, p, s, j in _triple_cases(skew_top, symm_top):
         closed = witness_ext_closed(space, n, p, s, j)
@@ -185,8 +177,8 @@ def check_ext_triple_agreement(max_n: int | None = None, bound: int | None = Non
 def check_assembly_agreement(max_n: int | None = None, bound: int | None = None) -> Check:
     """Main closed forms against the Ext assembly, plus the forced
     single-term shape at p=0 for all three spaces."""
-    skew_top = max_n or 8
-    symm_top = max_n or 7
+    skew_top = 8 if max_n is None else max_n
+    symm_top = 7 if max_n is None else max_n
     for n in range(2, skew_top + 1):
         for p in range(n // 2):
             a, b = support_poly(SKEW, n, p), support_poly_from_ext(SKEW, n, p)
@@ -216,7 +208,7 @@ def check_assembly_agreement(max_n: int | None = None, bound: int | None = None)
 def check_lcd_closed_forms(max_n: int | None = None, bound: int | None = None) -> Check:
     """Top degree of the main displays against the one-line dimension
     formulas, and the top-degree support for symmetric odd p < n-1."""
-    top = max_n or 10
+    top = 10 if max_n is None else max_n
     for n in range(1, top + 1):
         for m in range(n, top + 1):
             for p in range(n):
@@ -238,7 +230,7 @@ def check_lcd_closed_forms(max_n: int | None = None, bound: int | None = None) -
 
 def check_witness_exclusivity(max_n: int | None = None, bound: int | None = None) -> Check:
     """witness_weight(L) lies in the weight set of L' iff L == L'."""
-    top = max_n or 10
+    top = 10 if max_n is None else max_n
     for n in range(1, top + 1):
         for space in (SKEW, SYMM):
             labels = all_labels(space, n)
@@ -254,7 +246,7 @@ def check_witness_exclusivity(max_n: int | None = None, bound: int | None = None
 def check_skew_exponent_parity(max_n: int | None = None, bound: int | None = None) -> Check:
     """Every exponent of every skew witness multiplicity is congruent to
     m-p mod 2 (the degeneration argument at witness level)."""
-    top = max_n or 8
+    top = 8 if max_n is None else max_n
     for n in range(2, top + 1):
         m = n // 2
         for p in range(m):
@@ -270,7 +262,7 @@ def check_nondegeneracy_witness(max_n: int | None = None, bound: int | None = No
     """(5,5,4) shows up in the Ext character of the symmetric n=3 p=1
     subquotient yet belongs to no simple module's weight set, so it must
     cancel in every assembled local cohomology class."""
-    window = bound or 14
+    window = 14 if bound is None else bound
     gc = ext_character(SYMM, 3, (2, 2, 0), 1, window)
     seen = any((5, 5, 4) in gc.at(d) for d in gc.degrees())
     if not seen:
@@ -283,9 +275,9 @@ def check_nondegeneracy_witness(max_n: int | None = None, bound: int | None = No
 
 def check_filtration(max_n: int | None = None, bound: int | None = None) -> Check:
     """Truncated filtration consistency for symm n<=4 and skew n<=6."""
-    window = bound or 10
-    symm_top = max_n or 4
-    skew_top = max_n or 6
+    window = 10 if bound is None else bound
+    symm_top = 4 if max_n is None else max_n
+    skew_top = 6 if max_n is None else max_n
     for n in range(1, symm_top + 1):
         for p in range(n):
             rep = filtration_check(SYMM, n, p, window)
@@ -343,6 +335,9 @@ def run_suite(
     """Run the named suite and return reports in declaration order."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+    for name, value in (("max_n", max_n), ("bound", bound), ("threads", threads)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     names = [n for n, (_, tag) in CHECKS.items() if suite in ("all", tag)]
     items = [(name, max_n, bound) for name in names]
     if threads is None:

@@ -2,7 +2,18 @@
 
 import pytest
 
-from loccoh.bott import bott, inversions, sigma_of_partition, trivial_isotypic, wedge_isotypic
+import loccoh.verify as verify_mod
+from loccoh.bott import (
+    BottCohomology,
+    bott,
+    bott_kernel,
+    inversions,
+    shifted,
+    sigma_of_partition,
+    trivial_isotypic,
+    unshifted,
+    wedge_isotypic,
+)
 from loccoh.partitions import enumerate_box, enumerate_weights, size
 from loccoh.qseries import LaurentPoly
 
@@ -145,3 +156,53 @@ def test_predicate_against_algorithm_small():
                     assert hit == (not poly.is_zero and alpha == alpha_pred)
                     if hit:
                         assert res.degree == size(beta)
+
+
+def test_kernel_batch_matches_bott():
+    # one tail against a whole batch of heads equals the public bott, pair
+    # by pair, and both equal sort-and-count written out directly; n<=6
+    for n in range(1, 7):
+        for k in range(n + 1):
+            alphas = list(enumerate_weights(k, -3, 3))
+            for beta in enumerate_weights(n - k, -3, 3):
+                batch = bott_kernel(shifted(beta, n - k), (shifted(a, n) for a in alphas))
+                for alpha, res in zip(alphas, batch, strict=True):
+                    single = bott(alpha, beta, n)
+                    c = [g + n - 1 - i for i, g in enumerate(alpha + beta)]
+                    if len(set(c)) < n:
+                        assert res is None and single is None
+                        continue
+                    degree = sum(1 for x in range(n) for y in range(x + 1, n) if c[x] < c[y])
+                    assert res == (degree, tuple(sorted(c, reverse=True)))
+                    assert single == BottCohomology(degree, unshifted(res[1]))
+
+
+def test_sweep_runs_the_shipped_predicates(monkeypatch):
+    # a wrong alpha from the shipped trivial_isotypic fails the sweep
+    real = verify_mod.trivial_isotypic
+
+    def wrong_alpha(beta, k, n):
+        poly, alpha = real(beta, k, n)
+        return poly, None if alpha is None else (alpha[0] + 1,) + alpha[1:]
+
+    monkeypatch.setattr(verify_mod, "trivial_isotypic", wrong_alpha)
+    passed, counterexample, params = verify_mod.check_bott_predicate_agreement(max_n=3)
+    assert not passed and params == "n<=3"
+    assert counterexample == {
+        "n": 1, "k": 1, "alpha": [1], "beta": [], "predicate_s": 1, "algorithm_s": None,
+    }
+
+
+def test_sweep_reads_the_predicted_degree(monkeypatch):
+    # a wrong degree in the wedge polynomial fails the sweep
+    real = verify_mod.wedge_isotypic
+
+    def wrong_degree(beta, k, n, s):
+        poly, alpha = real(beta, k, n, s)
+        return poly * LaurentPoly.q(1), alpha
+
+    monkeypatch.setattr(verify_mod, "wedge_isotypic", wrong_degree)
+    passed, counterexample, params = verify_mod.check_bott_predicate_agreement(max_n=3)
+    assert not passed and params == "n<=3"
+    assert set(counterexample) == {"n", "k", "alpha", "beta", "degree", "expected_degree"}
+    assert counterexample["expected_degree"] == counterexample["degree"] + 1

@@ -95,6 +95,15 @@ def test_verify_scaled_down(capsys):
     assert code == 0 and "1/1 checks passed" in out
 
 
+def test_verify_rejects_non_positive_ranges(capsys):
+    # an explicit 0 must not fall back to the default range
+    for option in ("--max-n", "--bound", "--threads"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "qseries", option, "0"])
+        assert exc.value.code == 2
+        assert "at least 1" in capsys.readouterr().err
+
+
 def test_verify_reports_failures(capsys, monkeypatch):
     def broken(max_n=None, bound=None):
         return False, {"witness": 1}, "injected"

@@ -138,6 +138,17 @@ def test_weight_validation_and_padding():
         weight((1, 1, 1), 2)
 
 
+def test_non_integer_entries_rejected():
+    # no silent truncation or bool-to-int coercion
+    for bad in ([2.7], [2.7, 1.2], [True, False], [2, True], ["3"]):
+        with pytest.raises(TypeError):
+            partition(bad)
+        with pytest.raises(TypeError):
+            weight(bad)
+    assert partition(iter([2, 2, 0])) == (2, 2)
+    assert weight(x for x in (1, -1)) == (1, -1)
+
+
 def test_padded():
     assert padded((2, 1), 4) == (2, 1, 0, 0)
     assert padded((2, 1, 0), 2) == (2, 1)
