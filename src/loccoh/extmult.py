@@ -21,6 +21,7 @@ a single subquotient, truncated to a finite window of weight sizes.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from math import comb
 from operator import add
@@ -80,21 +81,28 @@ def _det_shift(space: str, n: int) -> int:
     return n + 1 if space == SYMM else n - 1
 
 
-def _alpha_family(space: str, x_head: int, p: int, y: Partition) -> Weight:
-    """Quotient-bundle weight of the y-th summand of the dual twisted
-    symmetric algebra, for a subquotient whose first parts equal x_head."""
+def _shifted_heads(
+    space: str, n: int, p: int, twist: int, ys: Iterable[Partition]
+) -> Iterator[tuple[int, ...]]:
+    """``shifted(alpha, n)`` for the quotient-bundle weight alpha of the y-th
+    summand of the dual twisted symmetric algebra, for each y in ``ys``.
+
+    alpha_i = twist - z_{k-i}, z the doubled (symm) or duplicated (skew) y
+    zero-padded to the quotient rank k.  The ys must be partitions with at
+    most p parts; they are not validated again.
+    """
     k = _quotient_rank(space, p)
-    if space == SYMM:
-        twist = x_head - (p + 1)
-        add = padded(doubled(y), k)
-    else:
-        twist = x_head - (2 * p - 1)
-        add = padded(duplicated(y), k)
-    return tuple(twist - add[k - 1 - i] for i in range(k))
+    offsets = list(range(twist + n - 1, twist + n - 1 - k, -1))
+    for y in ys:
+        z = [2 * a for a in y] if space == SYMM else [a for a in y for _ in (0, 1)]
+        # z reversed and zero-padded on the left lines up with the offsets
+        j = k - len(z)
+        yield tuple(offsets[:j] + [o - a for o, a in zip(offsets[j:], reversed(z))])
 
 
 def _layer_shape(space: str, x: Partition, n: int, p: int) -> tuple[int, tuple[int, ...], int]:
-    """Split x into its head value and rank n-k sub-bundle weight."""
+    """Split x into the twist of its head and its rank n-k sub-bundle
+    weight; k is the quotient rank."""
     x = partition(x)
     if len(x) > n:
         raise ValueError(f"x={x} needs at most {n} parts")
@@ -105,35 +113,32 @@ def _layer_shape(space: str, x: Partition, n: int, p: int) -> tuple[int, tuple[i
     if any(xp[i] != xp[0] for i in range(k)):
         raise ValueError(f"first {k} parts of x={x} must be equal")
     head = xp[0] if k else 0
-    return head, xp[k:], k
+    twist = head - (p + 1) if space == SYMM else head - (2 * p - 1)
+    return twist, xp[k:], k
 
 
-def _layer_witness_poly(space: str, n: int, p: int, x: Partition, target: Weight) -> LaurentPoly:
+def _layer_witness_counts(space: str, n: int, p: int, x: Partition, target: Weight) -> Counter:
     """Multiplicity generating function of the rank-n weight ``target``
-    inside Ext(J_{x,p}, S), via sheaf cohomology and the Bott algorithm.
+    inside Ext(J_{x,p}, S), via sheaf cohomology and the Bott algorithm, as
+    exponent -> coefficient.
 
     Output weights shrink by 2 per unit of the symmetric-algebra index, so
     only one index size can reach the target; that makes the sum finite.
     """
-    head, x2, k = _layer_shape(space, x, n, p)
+    twist, x2, k = _layer_shape(space, x, n, p)
     shift = _det_shift(space, n)
     top = _top_index(space, n, p)
     target_mu = tuple(t - shift for t in target)
-    if space == SYMM:
-        base = k * (head - (p + 1)) + sum(x2)
-    else:
-        base = k * (head - (2 * p - 1)) + sum(x2)
-    needed = base - sum(target_mu)
+    needed = k * twist + sum(x2) - sum(target_mu)
+    counts = Counter()
     if needed < 0 or needed % 2:
-        return LaurentPoly.zero()
+        return counts
     target_c = shifted(target_mu, n)
-    heads = (shifted(_alpha_family(space, head, p, y), n)
-             for y in partitions_of_size(needed // 2, p))
-    total = LaurentPoly.zero()
+    heads = _shifted_heads(space, n, p, twist, partitions_of_size(needed // 2, p))
     for res in bott_kernel(shifted(x2, n - k), heads):
         if res is not None and res[1] == target_c:
-            total = total + LaurentPoly.q(top - res[0])
-    return total
+            counts[top - res[0]] += 1
+    return counts
 
 
 def ext_character(space: str, n: int, x: Partition, p: int, bound: int) -> GradedCharacter:
@@ -148,10 +153,9 @@ def ext_character(space: str, n: int, x: Partition, p: int, bound: int) -> Grade
     _check_space(space)
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    head, x2, k = _layer_shape(space, x, n, p)
+    twist, x2, k = _layer_shape(space, x, n, p)
     shift = _det_shift(space, n)
     top = _top_index(space, n, p)
-    twist = head - (p + 1) if space == SYMM else head - (2 * p - 1)
     base_final = k * twist + sum(x2) + n * shift
     if base_final < -bound:
         raise ValueError(
@@ -160,12 +164,11 @@ def ext_character(space: str, n: int, x: Partition, p: int, bound: int) -> Grade
         )
     # the final weight is the sorted shifted entries minus delta, plus shift
     offsets = range(shift - n + 1, shift + 1)
-    heads = (shifted(_alpha_family(space, head, p, y), n)
-             for half in range((base_final + bound) // 2 + 1)
-             if -bound <= base_final - 2 * half <= bound
-             for y in partitions_of_size(half, p))
+    ys = (y for half in range((base_final + bound) // 2 + 1)
+          if -bound <= base_final - 2 * half <= bound
+          for y in partitions_of_size(half, p))
     by_degree: dict[int, Counter] = {}
-    for res in bott_kernel(shifted(x2, n - k), heads):
+    for res in bott_kernel(shifted(x2, n - k), _shifted_heads(space, n, p, twist, ys)):
         if res is not None:
             final = tuple(map(add, res[1], offsets))
             by_degree.setdefault(top - res[0], Counter())[final] += 1
@@ -229,12 +232,12 @@ def witness_ext_enum(space: str, n: int, p: int, s: int, flavor: int | None = No
     conditions and the box membership, and contributes one power of q.
     """
     _validate_witness_args(space, n, p, s, flavor)
-    total = LaurentPoly.zero()
+    counts = Counter()
     if space == SKEW:
         m = n // 2
         width = s - (m - p)
         if width < 0:
-            return total
+            return LaurentPoly.zero()
         d = 2 * s + 2 * p - n + 1
         for z in enumerate_box(m - p - 1, width):
             zp = padded(z, m - p - 1)
@@ -246,12 +249,12 @@ def witness_ext_enum(space: str, n: int, p: int, s: int, flavor: int | None = No
                 raise AssertionError(f"layer for z={z} violates the parity conditions")
             if beta[0] > 2 * p or any(b < 0 for b in beta):
                 raise AssertionError(f"bundle weight {beta} escapes its box")
-            total = total + LaurentPoly.q(comb(n, 2) - comb(2 * p, 2) - sum(beta))
-        return total
+            counts[comb(n, 2) - comb(2 * p, 2) - sum(beta)] += 1
+        return LaurentPoly(counts)
     if (s - (n - p)) % 2:
-        return total
+        return LaurentPoly.zero()
     if s < n and (flavor - s) % 2:
-        return total
+        return LaurentPoly.zero()
     d = (s + p - n) // 2
     for z in enumerate_box((n - p - 1) // 2, d):
         tail = padded(duplicated(z), n - p - 1)
@@ -263,8 +266,8 @@ def witness_ext_enum(space: str, n: int, p: int, s: int, flavor: int | None = No
         bconj = padded(conjugate(partition(beta)), p)
         if any(bconj[i - 1] % 2 == 0 for i in range(n - s + 1, p + 1)):
             raise AssertionError(f"conjugate of {beta} violates the parity conditions")
-        total = total + LaurentPoly.q(comb(n + 1, 2) - comb(p + 1, 2) - sum(beta))
-    return total
+        counts[comb(n + 1, 2) - comb(p + 1, 2) - sum(beta)] += 1
+    return LaurentPoly(counts)
 
 
 def witness_ext_bott(
@@ -291,20 +294,20 @@ def witness_ext_bott(
         tail_len = n - p - 1
     if d_bound is None:
         d_bound = max(forced, 0) + 2
-    total = LaurentPoly.zero()
+    total = Counter()
     contributing: list[int] = []
     for d in range(d_bound + 1):
-        at_d = LaurentPoly.zero()
+        at_d = Counter()
         for tail in enumerate_box(tail_len, d):
             y = partition((d,) * (p + 1) + padded(tail, tail_len))
             x = duplicated(y) if space == SKEW else doubled(y)
-            at_d = at_d + _layer_witness_poly(space, n, p, padded(x, n), target)
-        if not at_d.is_zero:
+            at_d.update(_layer_witness_counts(space, n, p, padded(x, n), target))
+        if at_d:
             contributing.append(d)
-        total = total + at_d
+            total.update(at_d)
     if len(contributing) > 1:
         raise RuntimeError(
             f"multiple top values contribute ({contributing}) for "
             f"{space} n={n} p={p} s={s}: forced-degree analysis violated"
         )
-    return total
+    return LaurentPoly(total)

@@ -131,17 +131,24 @@ def dominates(y: Iterable[int], z: Iterable[int]) -> bool:
 def enumerate_box(rows: int, width: int) -> Iterator[Partition]:
     """All partitions with at most `rows` parts, each at most `width`.
 
-    Lexicographically descending; yields comb(rows+width, rows) partitions.
+    Lexicographically descending, by an iterative lex successor; yields
+    comb(rows+width, rows) partitions.
     """
     if rows < 0 or width < 0:
         raise ValueError("box dimensions must be non-negative")
-    if rows == 0 or width == 0:
-        yield ()
-        return
-    for first in range(width, 0, -1):
-        for rest in enumerate_box(rows - 1, first):
-            yield (first,) + rest
-    yield ()
+    a = [width] * rows
+    parts = rows if width else 0
+    while True:
+        yield tuple(a[:parts])
+        if not parts:
+            return
+        # lower the last nonzero part; later parts refill to it or it drops
+        v = a[parts - 1] - 1
+        if v:
+            a[parts - 1:] = [v] * (rows - parts + 1)
+            parts = rows
+        else:
+            parts -= 1
 
 
 def box_count(rows: int, width: int) -> int:
@@ -151,27 +158,46 @@ def box_count(rows: int, width: int) -> int:
 
 def partitions_of_size(total: int, max_parts: int, max_part: int | None = None) -> Iterator[Partition]:
     """All partitions of `total` with at most `max_parts` parts, each at most
-    `max_part` (unbounded when None)."""
+    `max_part` (unbounded when None).
+
+    Lexicographically descending, by an iterative successor.
+    """
+    if max_parts < 0:
+        raise ValueError("max_parts must be non-negative")
     if total < 0:
         return
     if total == 0:
         yield ()
         return
-    if max_parts == 0:
+    cap = total if max_part is None else min(total, max_part)
+    if cap <= 0 or total > max_parts * cap:
         return
-    first_cap = total if max_part is None else min(total, max_part)
-    for first in range(first_cap, 0, -1):
-        for rest in partitions_of_size(total - first, max_parts - 1, first):
-            yield (first,) + rest
+    q, r = divmod(total, cap)
+    a = [cap] * q + [r] * (r > 0)
+    while True:
+        yield tuple(a)
+        # the rightmost part v that can drop to v-1 with the rest of the
+        # suffix still fitting in the remaining slots under v-1; the
+        # trailing ones cannot drop
+        i = len(a) - a.count(1)
+        rest = len(a) - i
+        while i:
+            i -= 1
+            rest += a[i]
+            v = a[i] - 1
+            if rest - v <= (max_parts - 1 - i) * v:
+                break
+        else:
+            return
+        q, r = divmod(rest - v, v)
+        a[i:] = [v] * (q + 1) + [r] * (r > 0)
 
 
 def enumerate_weights(rank: int, lo: int, hi: int) -> Iterator[Weight]:
-    """All dominant weights of the given rank with entries in [lo, hi]."""
+    """All dominant weights of the given rank with entries in [lo, hi]:
+    lo plus a partition of the rank x (hi-lo) box, zero-padded, in the
+    box's (lexicographically descending) order."""
     if rank < 0 or lo > hi:
         return
-    if rank == 0:
-        yield ()
-        return
-    for first in range(hi, lo - 1, -1):
-        for rest in enumerate_weights(rank - 1, lo, first):
-            yield (first,) + rest
+    for z in enumerate_box(rank, hi - lo):
+        yield tuple([lo + a for a in z] + [lo] * (rank - len(z)))

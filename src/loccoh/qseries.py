@@ -9,6 +9,7 @@ cross-checks of each other.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable
 
 from .partitions import enumerate_box
@@ -239,10 +240,8 @@ def gauss_enum(a: int, b: int, variable_power: int = 1) -> LaurentPoly:
         raise ValueError(f"need 0 <= b <= a, got a={a}, b={b}")
     if variable_power == 0:
         raise ValueError("variable power must be nonzero")
-    total = LaurentPoly.zero()
-    for z in enumerate_box(a - b, b):
-        total = total + LaurentPoly.q(variable_power * sum(z))
-    return total
+    counts = Counter(map(sum, enumerate_box(a - b, b)))
+    return LaurentPoly({variable_power * e: c for e, c in counts.items()})
 
 
 def top_degree(f: LaurentPoly) -> int | None:

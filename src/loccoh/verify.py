@@ -15,6 +15,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .bott import bott_kernel, shifted, trivial_isotypic, unshifted, wedge_isotypic
 from .characters import (
@@ -79,6 +80,8 @@ def check_bott_predicate_agreement(max_n: int | None = None, bound: int | None =
     predicate applies) for exactly the alpha that ``trivial_isotypic``
     (resp. ``wedge_isotypic``) names, in the degree its polynomial gives.
     Counterexamples name the first failing alpha in enumeration order.
+    Each beta also needs exactly comb(n+2k+4, k) nonzero outcomes, one per
+    head disjoint from its shifted tail.
     """
     top = 7 if max_n is None else max_n
     checked = 0
@@ -90,6 +93,8 @@ def check_bott_predicate_agreement(max_n: int | None = None, bound: int | None =
             # shifted alpha entries; combinations yields the heads of
             # enumerate_weights(k, -n-2, n+2) in the same order
             span = range(2 * n + 1, -k - 3, -1)
+            # every tail lies inside the span, so n+2k+4 entries stay free
+            free_heads = comb(n + 2 * k + 4, k)
             for beta in enumerate_box(r, k + 2):
                 bp = padded(beta, r)
                 applicable = [s for s in range(r, n + 1) if all(b >= n - s for b in bp)]
@@ -101,15 +106,20 @@ def check_bott_predicate_agreement(max_n: int | None = None, bound: int | None =
                         predicted[shifted(alpha, n)] = (s, poly)
                 tail = shifted(bp, r)
                 hits = {}
+                nonzero = 0
                 # checked counts every (alpha, beta) pair the kernel sees
                 for checked, res in enumerate(
                     bott_kernel(tail, combinations(span, k)), checked + 1
                 ):
                     if res is not None:
+                        nonzero += 1
                         s = targets.get(res[1])
                         if s in applicable:
                             head = tuple(c for c in res[1] if c not in tail)
                             hits[head] = (s, res[0])
+                if nonzero != free_heads:
+                    return False, {"n": n, "k": k, "beta": list(beta), "nonzero": nonzero,
+                                   "expected_nonzero": free_heads}, f"n<={top}"
                 # heads run in decreasing lexicographic order
                 for head in sorted(hits.keys() | predicted.keys(), reverse=True):
                     pred_s, poly = predicted.get(head, (None, None))
@@ -341,10 +351,13 @@ def run_suite(
     names = [n for n, (_, tag) in CHECKS.items() if suite in ("all", tag)]
     items = [(name, max_n, bound) for name in names]
     if threads is None:
+        setting = os.environ.get("LOCCOH_THREADS", "1")
         try:
-            threads = int(os.environ.get("LOCCOH_THREADS", "1"))
+            threads = int(setting)
         except ValueError:
-            threads = 1
+            raise ValueError(f"LOCCOH_THREADS must be an integer, got {setting!r}") from None
+        if threads < 1:
+            raise ValueError(f"LOCCOH_THREADS must be at least 1, got {threads}")
     if threads > 1 and len(items) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(_run_one, items))

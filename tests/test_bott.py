@@ -206,3 +206,18 @@ def test_sweep_reads_the_predicted_degree(monkeypatch):
     assert not passed and params == "n<=3"
     assert set(counterexample) == {"n", "k", "alpha", "beta", "degree", "expected_degree"}
     assert counterexample["expected_degree"] == counterexample["degree"] + 1
+
+
+def test_sweep_counts_nonzero_outcomes(monkeypatch):
+    # a kernel that never reports a repeated entry hits no wrong target, so
+    # only the count of nonzero outcomes per beta can catch it
+    def never_none(tail, heads):
+        for head in heads:
+            yield 0, tuple(sorted(head + tail, reverse=True))
+
+    monkeypatch.setattr(verify_mod, "bott_kernel", never_none)
+    passed, counterexample, params = verify_mod.check_bott_predicate_agreement(max_n=3)
+    assert not passed and params == "n<=3"
+    # n=2, k=1, beta=(3,) comes first: all 9 heads in [-3, 5] count, 8 miss
+    # the tail (3,)
+    assert counterexample == {"n": 2, "k": 1, "beta": [3], "nonzero": 9, "expected_nonzero": 8}

@@ -104,6 +104,16 @@ def test_verify_rejects_non_positive_ranges(capsys):
         assert "at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", ["x", "0"])
+def test_verify_rejects_bad_thread_setting(capsys, monkeypatch, setting):
+    # a mistyped LOCCOH_THREADS is reported, not replaced by a serial run
+    monkeypatch.setenv("LOCCOH_THREADS", setting)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "qseries"])
+    assert exc.value.code == 2
+    assert "LOCCOH_THREADS" in capsys.readouterr().err
+
+
 def test_verify_reports_failures(capsys, monkeypatch):
     def broken(max_n=None, bound=None):
         return False, {"witness": 1}, "injected"

@@ -16,7 +16,7 @@ from loccoh.extmult import (
     witness_ext_closed,
     witness_ext_enum,
 )
-from loccoh.qseries import LaurentPoly
+from loccoh.qseries import LaurentPoly, gauss, gauss_enum
 
 ROUTES = (witness_ext_closed, witness_ext_enum, witness_ext_bott)
 
@@ -100,6 +100,29 @@ def test_forced_top_value_unique():
     # widening the sweep window cannot pick up extra contributions
     assert witness_ext_bott(SKEW, 5, 1, 2, d_bound=8) == LaurentPoly.q(5)
     assert witness_ext_bott(SYMM, 3, 1, 2, 2, d_bound=8) == LaurentPoly.q(3)
+
+
+def test_enumeration_oracles_do_not_add_term_by_term(monkeypatch):
+    # each oracle sums in a Counter and builds one polynomial at the end;
+    # adding term by term copies the whole polynomial once per partition
+    cases = [(SKEW, 12, 2, 6, None), (SKEW, 12, 0, 6, None), (SKEW, 11, 1, 5, None),
+             (SYMM, 9, 5, 8, 2), (SYMM, 9, 8, 9, None), (SYMM, 8, 6, 8, None)]
+    expected = [witness_ext_closed(*case) for case in cases]
+    big_gauss = gauss(12, 6)
+    real = LaurentPoly.__add__
+    calls = []
+
+    def counting_add(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__add__", counting_add)
+    assert gauss_enum(12, 6) == big_gauss and not calls
+    assert witness_ext_enum(SKEW, 12, 2, 6) == expected[0] and not calls
+    for case, closed in zip(cases, expected):
+        calls.clear()
+        assert witness_ext_bott(*case) == closed
+        assert len(calls) <= 2, case
 
 
 def test_ext_character_reproduces_worked_example():

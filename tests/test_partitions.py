@@ -174,3 +174,67 @@ def test_enumerate_weights():
     assert len(out) == len(set(out)) == comb(2 * 1 + 1 + 1, 2)
     assert all(a >= b and -1 <= b and a <= 1 for a, b in out)
     assert list(enumerate_weights(0, -3, 3)) == [()]
+
+
+# The recursive generators the iterative enumerators replaced; the Bott
+# sweep's counterexamples name the first failure in this order.
+def box_reference(rows, width):
+    if rows == 0 or width == 0:
+        yield ()
+        return
+    for first in range(width, 0, -1):
+        for rest in box_reference(rows - 1, first):
+            yield (first,) + rest
+    yield ()
+
+
+def sized_reference(total, max_parts, max_part=None):
+    if total < 0:
+        return
+    if total == 0:
+        yield ()
+        return
+    if max_parts == 0:
+        return
+    first_cap = total if max_part is None else min(total, max_part)
+    for first in range(first_cap, 0, -1):
+        for rest in sized_reference(total - first, max_parts - 1, first):
+            yield (first,) + rest
+
+
+def weights_reference(rank, lo, hi):
+    if rank < 0 or lo > hi:
+        return
+    if rank == 0:
+        yield ()
+        return
+    for first in range(hi, lo - 1, -1):
+        for rest in weights_reference(rank - 1, lo, first):
+            yield (first,) + rest
+
+
+def test_enumerate_box_order_pinned():
+    for rows in range(8):
+        for width in range(8):
+            assert list(enumerate_box(rows, width)) == list(box_reference(rows, width))
+
+
+def test_partitions_of_size_order_pinned():
+    for total in range(-1, 16):
+        for max_parts in range(7):
+            for max_part in (None, 0, 1, 2, 5):
+                assert list(partitions_of_size(total, max_parts, max_part)) == list(
+                    sized_reference(total, max_parts, max_part)
+                )
+    # the reference ran unbounded below zero parts; the successor refuses
+    with pytest.raises(ValueError):
+        list(partitions_of_size(3, -1))
+
+
+def test_enumerate_weights_order_pinned():
+    for rank in range(5):
+        for lo in range(-3, 2):
+            for hi in range(lo - 1, 3):
+                assert list(enumerate_weights(rank, lo, hi)) == list(
+                    weights_reference(rank, lo, hi)
+                )
