@@ -9,6 +9,7 @@ verification failure, 2 on a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -179,8 +180,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on first use and then reused: it
+    holds no per-call state, as ``parse_args`` returns a new namespace."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if getattr(args, "k", None) is not None and len(args.alpha) != args.k:
         parser.error(f"--alpha must have exactly k={args.k} entries")

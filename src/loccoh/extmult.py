@@ -100,32 +100,39 @@ def _shifted_heads(
         yield tuple(offsets[:j] + [o - a for o, a in zip(offsets[j:], reversed(z))])
 
 
+def _twist(space: str, head: int, p: int) -> int:
+    """Twist of a layer whose first k parts (k the quotient rank) equal head."""
+    return head - (p + 1) if space == SYMM else head - (2 * p - 1)
+
+
 def _layer_shape(space: str, x: Partition, n: int, p: int) -> tuple[int, tuple[int, ...], int]:
     """Split x into the twist of its head and its rank n-k sub-bundle
     weight; k is the quotient rank."""
+    k = _quotient_rank(space, p)
+    if p < 0 or k > n:
+        raise ValueError(f"invalid p={p} for {space} n={n}")
     x = partition(x)
     if len(x) > n:
         raise ValueError(f"x={x} needs at most {n} parts")
-    k = _quotient_rank(space, p)
-    if k > n:
-        raise ValueError(f"invalid p={p} for {space} n={n}")
     xp = padded(x, n)
     if any(xp[i] != xp[0] for i in range(k)):
         raise ValueError(f"first {k} parts of x={x} must be equal")
-    head = xp[0] if k else 0
-    twist = head - (p + 1) if space == SYMM else head - (2 * p - 1)
-    return twist, xp[k:], k
+    return _twist(space, xp[0] if k else 0, p), xp[k:], k
 
 
-def _layer_witness_counts(space: str, n: int, p: int, x: Partition, target: Weight) -> Counter:
+def _layer_witness_counts(
+    space: str, n: int, p: int, twist: int, x2: tuple[int, ...], target: Weight
+) -> Counter:
     """Multiplicity generating function of the rank-n weight ``target``
     inside Ext(J_{x,p}, S), via sheaf cohomology and the Bott algorithm, as
-    exponent -> coefficient.
+    exponent -> coefficient.  The layer x is given by its twist and its
+    rank n-k sub-bundle weight x2, as ``_layer_shape`` returns them; they
+    are not validated.
 
     Output weights shrink by 2 per unit of the symmetric-algebra index, so
     only one index size can reach the target; that makes the sum finite.
     """
-    twist, x2, k = _layer_shape(space, x, n, p)
+    k = _quotient_rank(space, p)
     shift = _det_shift(space, n)
     top = _top_index(space, n, p)
     target_mu = tuple(t - shift for t in target)
@@ -294,14 +301,18 @@ def witness_ext_bott(
         tail_len = n - p - 1
     if d_bound is None:
         d_bound = max(forced, 0) + 2
+    k = _quotient_rank(space, p)
     total = Counter()
     contributing: list[int] = []
     for d in range(d_bound + 1):
         at_d = Counter()
+        twist = _twist(space, d if space == SKEW else 2 * d, p)
         for tail in enumerate_box(tail_len, d):
-            y = partition((d,) * (p + 1) + padded(tail, tail_len))
-            x = duplicated(y) if space == SKEW else doubled(y)
-            at_d.update(_layer_witness_counts(space, n, p, padded(x, n), target))
+            # the layer x is y = (d^(p+1), tail) duplicated (skew) or doubled
+            # (symm), zero-padded to n; its first k parts all equal its head
+            y = (d,) * (p + 1) + padded(tail, tail_len)
+            x = [a for a in y for _ in (0, 1)] if space == SKEW else [2 * a for a in y]
+            at_d.update(_layer_witness_counts(space, n, p, twist, padded(x, n)[k:], target))
         if at_d:
             contributing.append(d)
             total.update(at_d)

@@ -1,9 +1,10 @@
 """Exact Laurent polynomials in one formal variable q, and Gauss polynomials.
 
 Coefficients are arbitrary-precision Python integers; exponents may be
-negative.  ``gauss`` evaluates the classical product formula (with exact
-polynomial division), while ``gauss_enum`` builds the same polynomial by
-enumerating partitions in a box, so the two serve as independent
+negative.  ``gauss`` evaluates the classical product formula on one list of
+integer coefficients, one factor (1-q^t)/(1-q^j) at a time with exact
+division, while ``gauss_enum`` builds the same polynomial by enumerating
+partitions in a box.  The two share no code, so they serve as independent
 cross-checks of each other.
 """
 
@@ -212,9 +213,15 @@ def gauss(a: int, b: int, variable_power: int = 1) -> LaurentPoly:
     """The Gauss polynomial (q-binomial coefficient) evaluated at q**v.
 
     Computed from the product formula
-    ``(1-q^a)...(1-q^{a-b+1}) / (1-q^b)...(1-q)``, whose division is exact.
-    Out-of-range b (b < 0 or b > a) gives the zero polynomial, matching the
-    vanishing of ordinary binomial coefficients.
+    ``(1-q^a)...(1-q^{a-b+1}) / (1-q^b)...(1-q)``, one factor at a time:
+    with r = a-b, [r+j choose j] = [r+j-1 choose j-1] (1-q^(r+j)) / (1-q^j)
+    for j = 1..b, on a list of integer coefficients.  Multiplying by
+    (1-q^t) is a backward shift-subtract; dividing by (1-q^j) is a forward
+    prefix sum with stride j, exact only when the top j coefficients come
+    out zero, which is checked.  No partitions are enumerated, so this stays
+    independent of ``gauss_enum``.  Out-of-range b (b < 0 or b > a) gives
+    the zero polynomial, matching the vanishing of ordinary binomial
+    coefficients.
 
     >>> gauss(4, 2)
     q^4 + q^3 + 2*q^2 + q + 1
@@ -225,12 +232,20 @@ def gauss(a: int, b: int, variable_power: int = 1) -> LaurentPoly:
         raise ValueError("variable power must be nonzero")
     if b < 0 or b > a:
         return LaurentPoly.zero()
-    num = LaurentPoly.one()
-    den = LaurentPoly.one()
-    for i in range(1, b + 1):
-        num = num * (LaurentPoly.one() - LaurentPoly.q(a - b + i))
-        den = den * (LaurentPoly.one() - LaurentPoly.q(i))
-    return num.divexact(den).substitute_power(variable_power)
+    c = [1]
+    for j in range(1, b + 1):
+        t = a - b + j
+        c += [0] * t
+        for i in range(len(c) - 1, t - 1, -1):
+            c[i] -= c[i - t]
+        for i in range(j, len(c)):
+            c[i] += c[i - j]
+        if any(c[-j:]):
+            raise ArithmeticError("inexact polynomial division")
+        del c[-j:]
+    out = LaurentPoly.zero()
+    out._c = {variable_power * e: v for e, v in enumerate(c) if v}
+    return out
 
 
 def gauss_enum(a: int, b: int, variable_power: int = 1) -> LaurentPoly:

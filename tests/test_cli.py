@@ -1,9 +1,14 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import loccoh
+import loccoh.cli as cli
 from loccoh.cli import main
 import loccoh.verify as verify_mod
 
@@ -143,6 +148,59 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ext", "--space", "general", "--n", "3", "--p", "1", "--s", "1"])
     assert exc.value.code == 2
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    assert cli.build_parser() is not cli.build_parser()
+    real = cli.build_parser
+    built = []
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        for n in range(4, 10):
+            code, out = run(capsys, "lcd", "--space", "skew", "--n", str(n), "--p", "1")
+            assert code == 0 and out.strip()
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
+def _fresh_process(argv):
+    """(exit status, stdout, stderr) of ``python -m loccoh`` in a new process."""
+    src = os.path.dirname(os.path.dirname(loccoh.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "loccoh", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_back_to_back_calls_carry_no_state(capsys):
+    # each call on the shared parser prints what a fresh process prints: an
+    # option given once (--m) or a usage error is not remembered by the
+    # next call
+    calls = [
+        ["hpq", "--space", "general", "--m", "5", "--n", "4", "--p", "2"],
+        ["hpq", "--space", "symm", "--n", "4", "--p", "2"],
+        ["hpq", "--space", "symm", "--n", "3"],
+        ["bott", "--n", "3", "--k", "2", "--alpha", "0", "--beta", "1", "0"],
+        ["bott", "--n", "3", "--k", "1", "--alpha", "0", "--beta", "2", "0"],
+    ]
+    codes = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == _fresh_process(argv), argv
+        codes.append(code)
+    assert codes == [0, 0, 2, 2, 0]
 
 
 def test_parallel_runner_preserves_order():

@@ -163,6 +163,39 @@ def test_ext_character_window_errors():
         ext_character(SKEW, 5, (1, 0), 1, 10)  # first 2p parts differ
 
 
+@pytest.mark.parametrize("space,n,x,p", [
+    (SYMM, 3, (2, 2, 0), -1),
+    (SYMM, 3, (), 4),  # quotient rank p above n
+    (SKEW, 4, (), -1),
+    (SKEW, 4, (), 3),  # quotient rank 2p above n
+])
+def test_ext_character_rejects_p_by_name(space, n, x, p):
+    with pytest.raises(ValueError, match=f"p={p} for {space} n={n}"):
+        ext_character(space, n, x, p, 6)
+
+
+def test_witness_ext_bott_validates_each_layer_at_most_once(monkeypatch):
+    import loccoh.characters
+    import loccoh.extmult
+    import loccoh.partitions
+    from loccoh.partitions import box_count
+
+    expected = witness_ext_closed(SKEW, 12, 2, 6)
+    real = loccoh.partitions.partition
+    calls = []
+
+    def counting(parts):
+        calls.append(parts)
+        return real(parts)
+
+    for module in (loccoh.partitions, loccoh.extmult, loccoh.characters):
+        monkeypatch.setattr(module, "partition", counting, raising=False)
+    assert witness_ext_bott(SKEW, 12, 2, 6) == expected
+    # forced top value 5, so d runs to 7 over tails in the 3 x d box
+    layers = sum(box_count(3, d) for d in range(8))
+    assert len(calls) <= layers
+
+
 def test_ext_character_degree_range():
     # Ext degrees of a subquotient live between the codimension of its rank
     # locus and the ambient polynomial degree count

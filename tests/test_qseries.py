@@ -87,6 +87,39 @@ def test_gauss_examples():
     assert gauss(4, -1).is_zero and gauss(4, 5).is_zero
 
 
+def _product_formula_by_division(a, b, v):
+    """The product formula as two LaurentPoly products and one divexact."""
+    if b < 0 or b > a:
+        return LaurentPoly.zero()
+    num = den = LaurentPoly.one()
+    for i in range(1, b + 1):
+        num = num * (LaurentPoly.one() - LaurentPoly.q(a - b + i))
+        den = den * (LaurentPoly.one() - LaurentPoly.q(i))
+    return num.divexact(den).substitute_power(v)
+
+
+def test_gauss_matches_product_formula_by_division():
+    for a in range(21):
+        for b in range(-1, a + 2):
+            for v in (1, 2, 4, -4):
+                assert gauss(a, b, v) == _product_formula_by_division(a, b, v), (a, b, v)
+
+
+def test_gauss_makes_no_polynomial_products(monkeypatch):
+    expected = _product_formula_by_division(14, 7, 2)
+    calls = []
+    for name in ("__mul__", "__rmul__", "divexact"):
+        real = getattr(LaurentPoly, name)
+
+        def counting(self, other, real=real, name=name):
+            calls.append(name)
+            return real(self, other)
+
+        monkeypatch.setattr(LaurentPoly, name, counting)
+    assert gauss(14, 7, 2) == expected
+    assert calls == []
+
+
 def test_gauss_enum_examples():
     assert gauss_enum(4, 2) == gauss(4, 2)
     # the box P(1,1) holds the empty partition and (1): sizes {0, 1}
