@@ -6,7 +6,9 @@ quotients of an n-dimensional space: at most one cohomological degree is
 nonzero, and both the degree and the resulting irreducible are produced.
 It validates its input and runs ``bott_kernel``, the one implementation of
 the algorithm, which works on shifted entries gamma + delta and batches
-many alphas against one beta.
+many alphas against one beta.  ``bott_preimage`` inverts the kernel: given
+the beta block and a sorted outcome, it names the one alpha block that
+reaches it, with its degree, without trying any other.
 
 ``trivial_isotypic`` and ``wedge_isotypic`` are the closed-form answers for
 when that cohomology contributes a trivial summand, respectively a
@@ -46,9 +48,13 @@ def unshifted(c: tuple[int, ...]) -> Weight:
 
 class _CountAbove(dict):
     """v -> #{b in tail : b > v} for the strictly decreasing ``tail``,
-    filled on first lookup."""
+    filled on first lookup; the degree of a head is the sum over its
+    entries."""
 
     __slots__ = ("tail",)
+
+    def __init__(self, tail: tuple[int, ...]):
+        self.tail = tail
 
     def __missing__(self, v: int) -> int:
         count = self[v] = bisect_left(self.tail, -v, key=neg)
@@ -68,14 +74,40 @@ def bott_kernel(
     degree counts the tail entries above each head entry.
     """
     isdisjoint = frozenset(tail).isdisjoint
-    table = _CountAbove()
-    table.tail = tail
-    above = table.__getitem__
+    above = _CountAbove(tail).__getitem__
     for head in heads:
         if isdisjoint(head):
             yield sum(map(above, head)), tuple(sorted(head + tail, reverse=True))
         else:
             yield None
+
+
+def bott_preimage(
+    tail: tuple[int, ...], target: tuple[int, ...]
+) -> tuple[int, tuple[int, ...]] | None:
+    """The inverse of ``bott_kernel`` for one tail: the head that the
+    kernel sends to ``target``, with the degree it yields there.
+
+    ``tail`` and ``target`` are strictly decreasing tuples of shifted
+    entries; nothing is validated.  A head disjoint from the tail reaches
+    ``target`` exactly when head and tail together are its entries, so
+    there is at most one such head: ``target`` minus ``tail``, kept in
+    decreasing order.  Returns None when the tail is not contained in
+    ``target``, else ``(degree, head)``; the head is not bounded to any
+    range, so a caller that sweeps a range must check it lies there.
+
+    >>> bott_preimage((3,), (4, 3, 1))
+    (1, (4, 1))
+    >>> next(bott_kernel((3,), [(4, 1)]))
+    (1, (4, 3, 1))
+    >>> bott_preimage((2,), (4, 3, 1)) is None
+    True
+    """
+    in_tail = frozenset(tail).__contains__
+    head = tuple(c for c in target if not in_tail(c))
+    if len(head) + len(tail) != len(target):
+        return None
+    return sum(map(_CountAbove(tail).__getitem__, head)), head
 
 
 def bott(alpha: Weight, beta: Weight, n: int) -> BottCohomology | None:

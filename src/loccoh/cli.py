@@ -40,6 +40,25 @@ def _add_space(parser: argparse.ArgumentParser, with_general: bool) -> None:
                             help="row count, general matrices only (m >= n)")
 
 
+def _non_negative(text: str) -> int:
+    """argparse type for ``--bound``: an int that is at least 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
+def _check_flavor(args) -> None:
+    """Reject a ``--j`` that names no flavor: skew labels and symm s = n
+    carry none, and it must not be dropped in silence."""
+    if args.j is not None and (args.space == SKEW or args.s == args.n):
+        which = "skew labels carry" if args.space == SKEW else f"the label s = n = {args.n} carries"
+        raise ValueError(f"--j applies only to symm with s < n; {which} no flavor")
+
+
 def _cmd_hpq(args) -> int:
     hp = support_poly(args.space, args.n, args.p, args.m)
     if args.format == "json":
@@ -63,6 +82,7 @@ def _cmd_lcd(args) -> int:
 
 
 def _cmd_ext(args) -> int:
+    _check_flavor(args)
     route = {"closed": witness_ext_closed, "enum": witness_ext_enum,
              "bott": witness_ext_bott}[args.route]
     poly = route(args.space, args.n, args.p, args.s, args.j)
@@ -80,8 +100,8 @@ def _cmd_bott(args) -> int:
 
 
 def _cmd_character(args) -> int:
-    label = SimpleLabel(args.space, args.n, args.s,
-                        args.j if args.space == SYMM and args.s < args.n else None)
+    _check_flavor(args)
+    label = SimpleLabel(args.space, args.n, args.s, args.j)
     _dump([list(w) for w in enumerate_members(label, args.bound)])
     return 0
 
@@ -156,15 +176,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("character", help="list a simple module's weight set")
     _add_space(p, with_general=False)
     p.add_argument("--s", required=True, type=int)
-    p.add_argument("--j", type=int, default=None, choices=[1, 2])
-    p.add_argument("--bound", required=True, type=int,
+    p.add_argument("--j", type=int, default=None, choices=[1, 2],
+                   help="flavor, symmetric case with s < n")
+    p.add_argument("--bound", required=True, type=_non_negative,
                    help="list weights with every |entry| <= bound")
     p.set_defaults(fn=_cmd_character)
 
     p = sub.add_parser("filtration-check", help="truncated filtration consistency")
     _add_space(p, with_general=False)
     p.add_argument("--p", required=True, type=int)
-    p.add_argument("--bound", required=True, type=int)
+    p.add_argument("--bound", required=True, type=_non_negative)
     p.set_defaults(fn=_cmd_filtration)
 
     p = sub.add_parser("verify", help="run a verification suite")

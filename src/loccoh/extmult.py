@@ -9,10 +9,10 @@ Ext(J_p, S) is computed by three independent routes:
 * ``witness_ext_enum``     -- enumeration of the box of partitions that
   parametrizes the nonvanishing layers, reconstructing each layer and its
   associated bundle weight and summing the resulting powers of q;
-* ``witness_ext_bott``     -- the sheaf-cohomology route: expand the dual
-  twisted symmetric algebra on the Grassmannian, run the Bott kernel on
-  every summand against the layer's fixed sub-bundle weight, and keep the
-  terms landing on the witness weight.
+* ``witness_ext_bott``     -- the sheaf-cohomology route: on the
+  Grassmannian, invert the Bott kernel at the witness weight against each
+  layer's fixed sub-bundle weight, and read off the one summand of the
+  dual twisted symmetric algebra that can land there.
 
 ``ext_character`` computes the full graded character of Ext(J_{x,p}, S) for
 a single subquotient, truncated to a finite window of weight sizes.
@@ -39,7 +39,7 @@ from .partitions import (
     partitions_of_size,
 )
 from .qseries import LaurentPoly, gauss
-from .bott import bott_kernel, shifted
+from .bott import bott_kernel, bott_preimage, shifted
 
 
 @dataclass
@@ -100,6 +100,28 @@ def _shifted_heads(
         yield tuple(offsets[:j] + [o - a for o, a in zip(offsets[j:], reversed(z))])
 
 
+def _head_partition(space: str, n: int, twist: int, head: tuple[int, ...]) -> Partition | None:
+    """Inverse of ``_shifted_heads``: the y whose head is ``head``, or None
+    when no partition gives it.
+
+    z reversed is offsets - head.  Since the offsets drop by one per place
+    and the head strictly decreasing, z is non-increasing already; it must
+    be non-negative and doubled (symm) or duplicated (skew), and then y is
+    z halved or every other entry of z, zero-padded to p parts.
+    """
+    z = [o - h for o, h in zip(range(twist + n - len(head), twist + n), reversed(head))]
+    if z and z[-1] < 0:
+        return None
+    if space == SYMM:
+        if any(a % 2 for a in z):
+            return None
+        return tuple(a // 2 for a in z)
+    y = z[::2]
+    if y != z[1::2]:
+        return None
+    return tuple(y)
+
+
 def _twist(space: str, head: int, p: int) -> int:
     """Twist of a layer whose first k parts (k the quotient rank) equal head."""
     return head - (p + 1) if space == SYMM else head - (2 * p - 1)
@@ -130,21 +152,25 @@ def _layer_witness_counts(
     are not validated.
 
     Output weights shrink by 2 per unit of the symmetric-algebra index, so
-    only one index size can reach the target; that makes the sum finite.
+    only summands y of one size can reach the target; and a Bott head
+    reaches it only as the target minus the layer's tail.  So at most one
+    summand contributes, and it is found by inverting the kernel and
+    ``_shifted_heads`` instead of trying every y of that size.
     """
     k = _quotient_rank(space, p)
     shift = _det_shift(space, n)
-    top = _top_index(space, n, p)
     target_mu = tuple(t - shift for t in target)
     needed = k * twist + sum(x2) - sum(target_mu)
     counts = Counter()
     if needed < 0 or needed % 2:
         return counts
-    target_c = shifted(target_mu, n)
-    heads = _shifted_heads(space, n, p, twist, partitions_of_size(needed // 2, p))
-    for res in bott_kernel(shifted(x2, n - k), heads):
-        if res is not None and res[1] == target_c:
-            counts[top - res[0]] += 1
+    res = bott_preimage(shifted(x2, n - k), shifted(target_mu, n))
+    if res is None:
+        return counts
+    degree, head = res
+    y = _head_partition(space, n, twist, head)
+    if y is not None and sum(y) == needed // 2:
+        counts[_top_index(space, n, p) - degree] += 1
     return counts
 
 

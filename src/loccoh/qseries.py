@@ -129,9 +129,23 @@ class LaurentPoly:
             return LaurentPoly({e: c * other for e, c in self._c.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
+        mono, rest = self._c, other._c
+        if len(rest) == 1:
+            mono, rest = rest, mono
         c: dict[int, int] = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in other._c.items():
+        if len(mono) == 1:
+            # a monomial factor shifts the exponents and scales the
+            # coefficients of the other; nonzero ints never multiply to
+            # zero.  A plain loop: a comprehension's own frame costs more
+            # than it saves on the few-term products closed forms make
+            [(e0, v0)] = mono.items()
+            for e, v in rest.items():
+                c[e + e0] = v * v0
+            out = LaurentPoly.zero()
+            out._c = c
+            return out
+        for e1, v1 in mono.items():
+            for e2, v2 in rest.items():
                 e = e1 + e2
                 w = c.get(e, 0) + v1 * v2
                 if w:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .bott import bott_kernel, shifted, trivial_isotypic, unshifted, wedge_isotypic
+from .bott import bott_kernel, bott_preimage, shifted, trivial_isotypic, unshifted, wedge_isotypic
 from .characters import (
     SKEW,
     SYMM,
@@ -71,6 +71,13 @@ def check_gauss_identities(max_n: int | None = None, bound: int | None = None) -
     return True, None, f"0 <= b <= a <= {top}, v in {powers}"
 
 
+def _alpha_and_degree(res: tuple | None, tail: tuple[int, ...], k: int) -> dict | None:
+    """A (degree, shifted head) outcome as {"alpha", "degree"} for a report."""
+    if res is None:
+        return None
+    return {"alpha": list(unshifted(res[1] + tail)[:k]), "degree": res[0]}
+
+
 def check_bott_predicate_agreement(max_n: int | None = None, bound: int | None = None) -> Check:
     """Sweep the Bott kernel against the closed-form isotypic predicates.
 
@@ -81,7 +88,9 @@ def check_bott_predicate_agreement(max_n: int | None = None, bound: int | None =
     (resp. ``wedge_isotypic``) names, in the degree its polynomial gives.
     Counterexamples name the first failing alpha in enumeration order.
     Each beta also needs exactly comb(n+2k+4, k) nonzero outcomes, one per
-    head disjoint from its shifted tail.
+    head disjoint from its shifted tail, and ``bott_preimage`` of each
+    applicable target must name the head the kernel sent there, with its
+    degree, or no head inside the span when the kernel sent none.
     """
     top = 7 if max_n is None else max_n
     checked = 0
@@ -120,6 +129,18 @@ def check_bott_predicate_agreement(max_n: int | None = None, bound: int | None =
                 if nonzero != free_heads:
                     return False, {"n": n, "k": k, "beta": list(beta), "nonzero": nonzero,
                                    "expected_nonzero": free_heads}, f"n<={top}"
+                hit_by_s = {s: (degree, head) for head, (s, degree) in hits.items()}
+                for target, s in targets.items():
+                    if s not in applicable:
+                        continue
+                    pre = bott_preimage(tail, target)
+                    if pre is not None and not span[-1] <= pre[1][-1] <= pre[1][0] <= span[0]:
+                        pre = None
+                    if pre != hit_by_s.get(s):
+                        return False, {"n": n, "k": k, "beta": list(beta), "s": s,
+                                       "preimage": _alpha_and_degree(pre, tail, k),
+                                       "kernel": _alpha_and_degree(hit_by_s.get(s), tail, k)
+                                       }, f"n<={top}"
                 # heads run in decreasing lexicographic order
                 for head in sorted(hits.keys() | predicted.keys(), reverse=True):
                     pred_s, poly = predicted.get(head, (None, None))

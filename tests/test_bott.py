@@ -1,5 +1,8 @@
 """The Bott algorithm and its closed-form isotypic predicates."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 import loccoh.verify as verify_mod
@@ -7,6 +10,7 @@ from loccoh.bott import (
     BottCohomology,
     bott,
     bott_kernel,
+    bott_preimage,
     inversions,
     shifted,
     sigma_of_partition,
@@ -221,3 +225,46 @@ def test_sweep_counts_nonzero_outcomes(monkeypatch):
     # n=2, k=1, beta=(3,) comes first: all 9 heads in [-3, 5] count, 8 miss
     # the tail (3,)
     assert counterexample == {"n": 2, "k": 1, "beta": [3], "nonzero": 9, "expected_nonzero": 8}
+
+
+def test_preimage_inverts_the_kernel():
+    # over random strictly decreasing tails and targets, n<=8, entries in
+    # [-6, 12], bott_preimage names a head exactly when some head in that
+    # range makes the kernel yield the target, and with the same degree
+    rng = random.Random(2015)
+    span = range(12, -7, -1)
+    found = 0
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        k = rng.randint(0, min(n, 5))
+        target = tuple(sorted(rng.sample(span, n), reverse=True))
+        # most tails lie inside the target, the rest anywhere in the range
+        pool = target if rng.random() < 0.8 else span
+        tail = tuple(sorted(rng.sample(pool, n - k), reverse=True))
+        heads = list(combinations(span, k))
+        hits = [
+            (res[0], head)
+            for head, res in zip(heads, bott_kernel(tail, heads), strict=True)
+            if res is not None and res[1] == target
+        ]
+        assert len(hits) <= 1
+        assert bott_preimage(tail, target) == (hits[0] if hits else None), (tail, target)
+        found += bool(hits)
+    assert 100 < found < 300
+
+
+def test_sweep_ties_the_preimage_to_the_kernel(monkeypatch):
+    # a preimage with a wrong degree, or one that drops a head, fails the
+    # sweep with the preimage keys
+    real = verify_mod.bott_preimage
+
+    def wrong_degree(tail, target):
+        res = real(tail, target)
+        return None if res is None else (res[0] + 1, res[1])
+
+    for broken in (wrong_degree, lambda tail, target: None):
+        monkeypatch.setattr(verify_mod, "bott_preimage", broken)
+        passed, counterexample, params = verify_mod.check_bott_predicate_agreement(max_n=3)
+        assert not passed and params == "n<=3"
+        assert set(counterexample) == {"n", "k", "beta", "s", "preimage", "kernel"}
+        assert counterexample["kernel"] is not None

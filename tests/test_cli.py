@@ -150,6 +150,36 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["ext", "--space", "symm", "--n", "3", "--p", "2", "--s", "3", "--j", "2"],
+    ["ext", "--space", "skew", "--n", "4", "--p", "1", "--s", "1", "--j", "1"],
+    ["character", "--space", "symm", "--n", "3", "--s", "3", "--j", "2", "--bound", "1"],
+    ["character", "--space", "skew", "--n", "4", "--s", "1", "--j", "1", "--bound", "1"],
+])
+def test_flavor_without_a_flavored_label_rejected(capsys, argv):
+    # an explicit --j that names no flavor is an error, not dropped
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--j" in err
+    # without it the same request runs
+    code, _ = run(capsys, *argv[:argv.index("--j")], *argv[argv.index("--j") + 2:])
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["character", "--space", "symm", "--n", "3", "--s", "2", "--j", "1", "--bound", "-1"],
+    ["filtration-check", "--space", "skew", "--n", "6", "--p", "1", "--bound", "-3"],
+])
+def test_negative_bound_rejected_by_name(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--bound" in err and "non-negative" in err
+
+
 def test_main_builds_the_parser_once(capsys, monkeypatch):
     assert cli.build_parser() is not cli.build_parser()
     real = cli.build_parser

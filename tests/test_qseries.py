@@ -43,6 +43,24 @@ def test_monomial_shift(f, k):
     assert shifted.pairs() == [(e + k, c) for e, c in f.pairs()]
 
 
+def _product_term_by_term(f, g):
+    out = {}
+    for e1, c1 in f.pairs():
+        for e2, c2 in g.pairs():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return sorted((e, c) for e, c in out.items() if c)
+
+
+@given(polys, st.integers(-8, 8), st.integers(-9, 9).filter(bool))
+def test_one_term_product_equals_the_general_product(f, e, c):
+    # one monomial factor, on either side, negative exponents and
+    # coefficients other than 1 included, even when f is zero or a monomial
+    m = LaurentPoly.q(e, c)
+    expected = _product_term_by_term(m, f)
+    assert (m * f).pairs() == (f * m).pairs() == expected
+    assert (m * f)._c == dict(expected)
+
+
 @given(polys)
 def test_no_stored_zero_coefficients(f):
     g = f + (-f) + f * LaurentPoly({0: 1})
