@@ -16,7 +16,9 @@ bound D" lists exactly the weights of size at most D, completely.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from math import prod
 
@@ -26,10 +28,10 @@ from .partitions import (
     dominates,
     doubled,
     duplicated,
-    enumerate_box,
     enumerate_weights,
     padded,
     partition,
+    partitions_of_size,
     size,
     weight,
 )
@@ -43,6 +45,11 @@ def _check_space(space: str) -> str:
     if space not in (SKEW, SYMM):
         raise ValueError(f"space must be '{SKEW}' or '{SYMM}', got {space!r}")
     return space
+
+
+def _check_bound(bound: int) -> None:
+    if bound < 0:
+        raise ValueError("bound must be non-negative")
 
 
 @dataclass(frozen=True, order=True)
@@ -196,21 +203,29 @@ def schur_dimension(lam: Weight, n: int | None = None) -> int:
     return num // den
 
 
-def _ring_partitions(space: str, n: int, bound: int):
+def _partitions_up_to(most: int, rows: int) -> Iterator[Partition]:
+    """All partitions of size at most `most` with at most `rows` parts,
+    size by size (nothing is yielded for a negative `most`)."""
+    for t in range(most + 1):
+        yield from partitions_of_size(t, rows)
+
+
+def _ring_partitions(space: str, n: int, bound: int) -> Iterator[tuple[Partition, Partition]]:
     """Pairs (z, shape(z)) where shape is 2z (symm) or z repeated (skew),
-    over all z giving |shape| <= bound."""
+    over all z giving |shape| <= bound: exactly the partitions z of size at
+    most bound // 2 with at most n (symm) resp. floor(n/2) (skew) parts,
+    enumerated size by size, none built and dropped."""
     rows = n if space == SYMM else n // 2
-    for z in enumerate_box(rows, bound // 2):
-        if 2 * size(z) <= bound:
-            yield z, (doubled(z) if space == SYMM else duplicated(z))
+    shape = doubled if space == SYMM else duplicated
+    for z in _partitions_up_to(bound // 2, rows):
+        yield z, shape(z)
 
 
 def space_character(space: str, n: int, bound: int) -> Counter:
     """Character of the coordinate ring, truncated at total size <= bound:
     all 2z (symm) resp. z repeated (skew), each with multiplicity 1."""
     _check_space(space)
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
+    _check_bound(bound)
     return Counter(shape for _, shape in _ring_partitions(space, n, bound))
 
 
@@ -218,6 +233,7 @@ def ideal_character(space: str, n: int, z: Partition, bound: int) -> Counter:
     """Character of the ideal generated by the irreducible attached to z:
     the shapes coming from y >= z componentwise, truncated at bound."""
     _check_space(space)
+    _check_bound(bound)
     z = partition(z)
     rows = n if space == SYMM else n // 2
     if len(z) > rows:
@@ -234,9 +250,11 @@ def layer_character(space: str, n: int, x: Partition, p: int, bound: int) -> Cou
 
     Requires the first p (symm) resp. 2p (skew) parts of x to be equal,
     which makes every listed weight a partition and the decomposition
-    multiplicity-free.
+    multiplicity-free.  The y are enumerated size by size up to
+    (bound - |x|) // 2.
     """
     _check_space(space)
+    _check_bound(bound)
     x = partition(x)
     if len(x) > n:
         raise ValueError(f"x={x} needs at most {n} parts")
@@ -246,14 +264,10 @@ def layer_character(space: str, n: int, x: Partition, p: int, bound: int) -> Cou
     xp = padded(x, n)
     if any(xp[i] != xp[0] for i in range(head)):
         raise ValueError(f"first {head} parts of x={x} must be equal")
+    shape = doubled if space == SYMM else duplicated
     out: Counter = Counter()
-    budget = bound - size(x)
-    if budget < 0:
-        return out
-    for y in enumerate_box(p, budget // 2):
-        add = doubled(y) if space == SYMM else duplicated(y)
-        if 2 * size(y) <= budget:
-            out[partition(tuple(a + b for a, b in zip(xp, padded(add, n))))] += 1
+    for y in _partitions_up_to((bound - size(x)) // 2, p):
+        out[partition(tuple(a + b for a, b in zip(xp, padded(shape(y), n))))] += 1
     return out
 
 
@@ -261,20 +275,23 @@ def filtration_layers(space: str, n: int, p: int, bound: int) -> list[Partition]
     """The ordered list of partitions indexing the rank filtration: all z
     (at most n parts for symm, floor(n/2) for skew) with
     z_1 = ... = z_{p+1} and |shape(z)| <= bound, ordered by size then
-    lexicographically.
+    lexicographically.  The z are taken from the ring's partitions of size
+    at most bound // 2, so the first layer is always ().
 
     Any linear order with no earlier term componentwise >= a later one
     works; size-then-lex is such an order and is fixed here for
     reproducibility.
     """
     _check_space(space)
+    _check_bound(bound)
     rows = n if space == SYMM else n // 2
     if not 0 <= p < rows:
         raise ValueError(f"invalid p={p} for {space} n={n}")
     out = []
-    for z in enumerate_box(rows, bound // 2):
+    for z in _partitions_up_to(bound // 2, rows):
         zp = padded(z, rows)
-        if 2 * size(z) <= bound and all(zp[i] == zp[0] for i in range(p + 1)):
+        # parts are non-increasing, so the first p+1 are equal when the ends are
+        if zp[p] == zp[0]:
             out.append(z)
     out.sort(key=lambda z: (size(z), z))
     return out
@@ -301,19 +318,27 @@ def filtration_check(space: str, n: int, p: int, bound: int) -> FiltrationReport
     * the layer characters together exhaust the coordinate ring (the graded
       pieces sum to the full direct-sum module).
 
-    Reports the first layer where the characters disagree.
+    The ideal sum(i >= r) I_{layer_i} holds the shapes of the y dominating
+    some layer at index >= r, and shape is injective, so the r-th quotient
+    holds exactly the y whose last dominated layer is r.  One pass over the
+    ring assigns every y to that layer; every y dominates the first layer
+    ().  Reports the first layer where the characters disagree.
     """
     layers = filtration_layers(space, n, p, bound)
+    # a layer larger than y cannot lie below it, so the search for the
+    # last dominated layer starts at the last one of size <= |y|
+    sizes = [size(z) for z in layers]
+    quotients = [Counter() for _ in layers]
+    for y, shape_y in _ring_partitions(space, n, bound):
+        r = bisect_right(sizes, size(y)) - 1
+        while r >= 0 and not dominates(y, layers[r]):
+            r -= 1
+        if r < 0:
+            raise AssertionError(f"ring partition {y} dominates no layer, not even ()")
+        quotients[r][shape_y] = 1
     shape = doubled if space == SYMM else duplicated
-    # character of the ideal sum(i >= r) I_{layer_i}, built from the back
-    suffix: list[set] = [set()] * (len(layers) + 1)
-    running: set = set()
-    for r in range(len(layers) - 1, -1, -1):
-        running = running | set(ideal_character(space, n, layers[r], bound))
-        suffix[r] = running
     union_layers: Counter = Counter()
-    for r, lam in enumerate(layers):
-        expected = Counter({w: 1 for w in suffix[r] - suffix[r + 1]})
+    for r, (lam, expected) in enumerate(zip(layers, quotients)):
         got = layer_character(space, n, shape(lam), p, bound)
         union_layers += got
         if expected != got:

@@ -20,13 +20,13 @@ a single subquotient, truncated to a finite window of weight sizes.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from math import comb
 from operator import add
 
-from .characters import SKEW, SYMM, SimpleLabel, _check_space, witness_weight
+from .characters import SKEW, SYMM, SimpleLabel, _check_bound, _check_space, witness_weight
 from .partitions import (
     Partition,
     Weight,
@@ -143,13 +143,17 @@ def _layer_shape(space: str, x: Partition, n: int, p: int) -> tuple[int, tuple[i
 
 
 def _layer_witness_counts(
-    space: str, n: int, p: int, twist: int, x2: tuple[int, ...], target: Weight
+    space: str, n: int, k: int, top: int, twist: int, x2: tuple[int, ...],
+    target_c: tuple[int, ...], target_size: int,
 ) -> Counter:
-    """Multiplicity generating function of the rank-n weight ``target``
-    inside Ext(J_{x,p}, S), via sheaf cohomology and the Bott algorithm, as
+    """Multiplicity generating function of a rank-n weight inside
+    Ext(J_{x,p}, S), via sheaf cohomology and the Bott algorithm, as
     exponent -> coefficient.  The layer x is given by its twist and its
     rank n-k sub-bundle weight x2, as ``_layer_shape`` returns them; they
-    are not validated.
+    are not validated.  The target enters as ``target_c``, the shifted
+    entries of the target minus the determinant shift, and ``target_size``,
+    the size of that difference; ``top`` is ``_top_index``.  All three are
+    fixed for a whole ``witness_ext_bott`` call, which computes them once.
 
     Output weights shrink by 2 per unit of the symmetric-algebra index, so
     only summands y of one size can reach the target; and a Bott head
@@ -157,20 +161,17 @@ def _layer_witness_counts(
     summand contributes, and it is found by inverting the kernel and
     ``_shifted_heads`` instead of trying every y of that size.
     """
-    k = _quotient_rank(space, p)
-    shift = _det_shift(space, n)
-    target_mu = tuple(t - shift for t in target)
-    needed = k * twist + sum(x2) - sum(target_mu)
+    needed = k * twist + sum(x2) - target_size
     counts = Counter()
     if needed < 0 or needed % 2:
         return counts
-    res = bott_preimage(shifted(x2, n - k), shifted(target_mu, n))
+    res = bott_preimage(shifted(x2, n - k), target_c)
     if res is None:
         return counts
     degree, head = res
     y = _head_partition(space, n, twist, head)
     if y is not None and sum(y) == needed // 2:
-        counts[_top_index(space, n, p) - degree] += 1
+        counts[top - degree] += 1
     return counts
 
 
@@ -184,8 +185,7 @@ def ext_character(space: str, n: int, x: Partition, p: int, bound: int) -> Grade
     output at all.
     """
     _check_space(space)
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
+    _check_bound(bound)
     twist, x2, k = _layer_shape(space, x, n, p)
     shift = _det_shift(space, n)
     top = _top_index(space, n, p)
@@ -200,12 +200,11 @@ def ext_character(space: str, n: int, x: Partition, p: int, bound: int) -> Grade
     ys = (y for half in range((base_final + bound) // 2 + 1)
           if -bound <= base_final - 2 * half <= bound
           for y in partitions_of_size(half, p))
-    by_degree: dict[int, Counter] = {}
+    by_degree: defaultdict[int, Counter] = defaultdict(Counter)
     for res in bott_kernel(shifted(x2, n - k), _shifted_heads(space, n, p, twist, ys)):
         if res is not None:
-            final = tuple(map(add, res[1], offsets))
-            by_degree.setdefault(top - res[0], Counter())[final] += 1
-    return GradedCharacter(by_degree, bound)
+            by_degree[top - res[0]][tuple(map(add, res[1], offsets))] += 1
+    return GradedCharacter(dict(by_degree), bound)
 
 
 def _validate_witness_args(space: str, n: int, p: int, s: int, flavor: int | None) -> None:
@@ -328,6 +327,10 @@ def witness_ext_bott(
     if d_bound is None:
         d_bound = max(forced, 0) + 2
     k = _quotient_rank(space, p)
+    top = _top_index(space, n, p)
+    shift = _det_shift(space, n)
+    target_mu = tuple(t - shift for t in target)
+    target_c, target_size = shifted(target_mu, n), sum(target_mu)
     total = Counter()
     contributing: list[int] = []
     for d in range(d_bound + 1):
@@ -338,7 +341,9 @@ def witness_ext_bott(
             # (symm), zero-padded to n; its first k parts all equal its head
             y = (d,) * (p + 1) + padded(tail, tail_len)
             x = [a for a in y for _ in (0, 1)] if space == SKEW else [2 * a for a in y]
-            at_d.update(_layer_witness_counts(space, n, p, twist, padded(x, n)[k:], target))
+            at_d.update(_layer_witness_counts(
+                space, n, k, top, twist, padded(x, n)[k:], target_c, target_size
+            ))
         if at_d:
             contributing.append(d)
             total.update(at_d)

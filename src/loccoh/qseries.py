@@ -4,16 +4,18 @@ Coefficients are arbitrary-precision Python integers; exponents may be
 negative.  ``gauss`` evaluates the classical product formula on one list of
 integer coefficients, one factor (1-q^t)/(1-q^j) at a time with exact
 division, while ``gauss_enum`` builds the same polynomial by enumerating
-partitions in a box.  The two share no code, so they serve as independent
-cross-checks of each other.
+the partitions in a box, each once, as the b-subsets of range(a): listed
+decreasingly, c_1 > ... > c_b, a subset gives the partition
+z_i = c_i - (b - i) with at most b parts, each at most a-b, one-to-one,
+with |z| = sum(c) - b(b-1)/2.  The two share no code, so they serve as
+independent cross-checks of each other.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable
-
-from .partitions import enumerate_box
+from itertools import combinations
 
 
 class LaurentPoly:
@@ -264,13 +266,24 @@ def gauss(a: int, b: int, variable_power: int = 1) -> LaurentPoly:
 
 def gauss_enum(a: int, b: int, variable_power: int = 1) -> LaurentPoly:
     """Gauss polynomial as the size generating function of partitions in the
-    (a-b) x b box: sum of q^(v*|z|).  Independent oracle for ``gauss``."""
+    (a-b) x b box: sum of q^(v*|z|).  Independent oracle for ``gauss``.
+
+    The partitions are enumerated as the b-subsets c_1 > ... > c_b of
+    range(a), by z_i = c_i - (b - i), a bijection onto the partitions with
+    at most b parts, each at most a-b (the conjugates of the box's, with
+    the same sizes), and |z| = sum(c) - b(b-1)/2; the subsets are streamed,
+    not stored.
+
+    >>> gauss_enum(4, 2) == gauss(4, 2)
+    True
+    """
     if not 0 <= b <= a:
         raise ValueError(f"need 0 <= b <= a, got a={a}, b={b}")
     if variable_power == 0:
         raise ValueError("variable power must be nonzero")
-    counts = Counter(map(sum, enumerate_box(a - b, b)))
-    return LaurentPoly({variable_power * e: c for e, c in counts.items()})
+    low = b * (b - 1) // 2
+    counts = Counter(map(sum, combinations(range(a), b)))
+    return LaurentPoly({variable_power * (e - low): c for e, c in counts.items()})
 
 
 def top_degree(f: LaurentPoly) -> int | None:

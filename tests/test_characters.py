@@ -21,7 +21,8 @@ from loccoh.characters import (
     space_character,
     witness_weight,
 )
-from loccoh.partitions import dominates, enumerate_box, size
+import loccoh.characters
+from loccoh.partitions import doubled, dominates, duplicated, enumerate_box, padded, partition, size
 
 
 def ssyt_count(shape, n):
@@ -264,3 +265,148 @@ def test_filtration_check_validation():
         filtration_check(SYMM, 3, 3, 8)
     with pytest.raises(ValueError):
         filtration_check(SKEW, 4, 2, 8)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: space_character(SYMM, 3, -1),
+        lambda: ideal_character(SYMM, 3, (1,), -1),
+        lambda: layer_character(SYMM, 3, (2, 2), 1, -1),
+        lambda: layer_character(SKEW, 4, (), 0, -2),
+        lambda: filtration_layers(SKEW, 6, 1, -1),
+        lambda: filtration_check(SYMM, 3, 1, -1),
+    ],
+    ids=["space", "ideal", "layer_symm", "layer_skew", "layers", "check"],
+)
+def test_negative_bound_rejected_by_name(call):
+    with pytest.raises(ValueError, match="^bound must be non-negative$"):
+        call()
+
+
+def test_layer_above_the_bound_is_empty():
+    # a non-negative bound below |x| is a window holding nothing, not an error
+    assert layer_character(SYMM, 3, (2, 2), 1, 3) == Counter()
+    assert layer_character(SKEW, 4, (1, 1), 1, 0) == Counter()
+
+
+# reference definitions: walk the whole rows x bound//2 box, then drop
+# every z whose shape is larger than the bound
+
+
+def _rows(space, n):
+    return n if space == SYMM else n // 2
+
+
+def _shape(space):
+    return doubled if space == SYMM else duplicated
+
+
+def _ring_by_box(space, n, bound):
+    return [
+        (z, _shape(space)(z))
+        for z in enumerate_box(_rows(space, n), bound // 2)
+        if 2 * size(z) <= bound
+    ]
+
+
+def _layer_by_box(space, n, x, p, bound):
+    xp = padded(x, n)
+    budget = bound - size(x)
+    out = Counter()
+    if budget < 0:
+        return out
+    for y in enumerate_box(p, budget // 2):
+        if 2 * size(y) <= budget:
+            add = padded(_shape(space)(y), n)
+            out[partition(tuple(a + b for a, b in zip(xp, add)))] += 1
+    return out
+
+
+def _layers_by_box(space, n, p, bound):
+    rows = _rows(space, n)
+    out = [z for z, _ in _ring_by_box(space, n, bound) if len(set(padded(z, rows)[:p + 1])) == 1]
+    return sorted(out, key=lambda z: (size(z), z))
+
+
+@pytest.mark.parametrize("space", [SYMM, SKEW])
+def test_ring_characters_equal_the_filtered_box(space):
+    for n in range(1, 6):
+        rows = _rows(space, n)
+        for bound in range(15):
+            ring = _ring_by_box(space, n, bound)
+            assert space_character(space, n, bound) == Counter(w for _, w in ring)
+            for z, _ in ring:
+                assert ideal_character(space, n, z, bound) == Counter(
+                    w for y, w in ring if dominates(y, z)
+                ), (space, n, z, bound)
+            for p in range(rows):
+                layers = filtration_layers(space, n, p, bound)
+                assert layers == _layers_by_box(space, n, p, bound), (space, n, p, bound)
+                for lam in layers:
+                    x = _shape(space)(lam)
+                    assert layer_character(space, n, x, p, bound) == _layer_by_box(
+                        space, n, x, p, bound
+                    ), (space, n, x, p, bound)
+
+
+def _dropping_one_weight(monkeypatch, space, n, p, bound, r):
+    """Make layer_character lose one weight at layer r; returns that weight."""
+    layer_x = _shape(space)(filtration_layers(space, n, p, bound)[r])
+    real = loccoh.characters.layer_character
+    dropped = max(real(space, n, layer_x, p, bound))
+
+    def lossy(space_, n_, x, p_, bound_):
+        out = real(space_, n_, x, p_, bound_)
+        if x == layer_x:
+            del out[dropped]
+        return out
+
+    monkeypatch.setattr(loccoh.characters, "layer_character", lossy)
+    return dropped
+
+
+def _suffix_differences(space, n, p, bound):
+    """The r-th ideal quotient, by unions of ideal_character from the back."""
+    layers = filtration_layers(space, n, p, bound)
+    suffix = [set() for _ in range(len(layers) + 1)]
+    for r in range(len(layers) - 1, -1, -1):
+        suffix[r] = suffix[r + 1] | set(ideal_character(space, n, layers[r], bound))
+    return [suffix[r] - suffix[r + 1] for r in range(len(layers))]
+
+
+@pytest.mark.parametrize("space,n,p,bound", [(SYMM, 3, 1, 10), (SKEW, 6, 1, 10), (SYMM, 4, 0, 8)])
+def test_filtration_quotients_are_ideal_suffix_differences(monkeypatch, space, n, p, bound):
+    # a weight dropped at layer r makes the check print the quotient it
+    # expected there, which must be the old suffix difference of ideals
+    quotients = _suffix_differences(space, n, p, bound)
+    for r, quotient in enumerate(quotients):
+        with monkeypatch.context() as m:
+            _dropping_one_weight(m, space, n, p, bound, r)
+            report = filtration_check(space, n, p, bound)
+        assert report.mismatch["layer"] == r
+        assert report.mismatch["quotient_character"] == sorted(map(list, quotient))
+
+
+def test_filtration_check_reports_a_dropped_weight(monkeypatch):
+    space, n, p, bound, r = SYMM, 3, 1, 10, 4
+    lam = filtration_layers(space, n, p, bound)[r]
+    expected = layer_character(space, n, doubled(lam), p, bound)
+    dropped = _dropping_one_weight(monkeypatch, space, n, p, bound, r)
+    report = filtration_check(space, n, p, bound)
+    assert not report.ok
+    assert report.mismatch == {
+        "layer": r,
+        "partition": list(lam),
+        "quotient_character": sorted(map(list, expected)),
+        "cyclic_character": sorted(map(list, expected - Counter({dropped: 1}))),
+    }
+
+
+def test_filtration_check_places_every_ring_partition(monkeypatch):
+    # without the () layer the empty partition belongs to no quotient; the
+    # check must say so, not drop it
+    real = loccoh.characters.filtration_layers
+    monkeypatch.setattr(loccoh.characters, "filtration_layers", lambda *args: real(*args)[1:])
+    with pytest.raises(AssertionError, match=r"ring partition \(\) dominates no layer"):
+        filtration_check(SYMM, 3, 1, 6)

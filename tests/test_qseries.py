@@ -145,6 +145,16 @@ def test_gauss_enum_examples():
     assert gauss_enum(3, 3) == 1 and gauss_enum(5, 5, -4) == 1
 
 
+@pytest.mark.parametrize("v", [1, 2, 4, -4])
+def test_gauss_enum_equals_the_box_sum(v):
+    # the definition gauss_enum enumerates by subset sums: one q^(v|z|)
+    # per partition z in the (a-b) x b box
+    for a in range(13):
+        for b in range(a + 1):
+            box_sum = LaurentPoly([(v * size(z), 1) for z in enumerate_box(a - b, b)])
+            assert gauss_enum(a, b, v) == box_sum, (a, b, v)
+
+
 def test_gauss_argument_validation():
     with pytest.raises(ValueError):
         gauss(4, 2, 0)
