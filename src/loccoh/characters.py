@@ -52,6 +52,13 @@ def _check_bound(bound: int) -> None:
         raise ValueError("bound must be non-negative")
 
 
+def _check_int(name: str, value) -> None:
+    """Reject a value that is not a plain int, naming the argument: a bool
+    or a float equal to an int is not coerced into one."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True, order=True)
 class SimpleLabel:
     """Label of a simple equivariant module on skew/symmetric n x n matrices.

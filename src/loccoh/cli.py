@@ -23,7 +23,7 @@ from .characters import (
     filtration_check,
 )
 from .cohomology import GENERAL, lcd, support_poly
-from .extmult import witness_ext_bott, witness_ext_closed, witness_ext_enum
+from .extmult import WITNESS_ROUTES
 from .verify import SUITES, run_suite
 
 
@@ -83,9 +83,7 @@ def _cmd_lcd(args) -> int:
 
 def _cmd_ext(args) -> int:
     _check_flavor(args)
-    route = {"closed": witness_ext_closed, "enum": witness_ext_enum,
-             "bott": witness_ext_bott}[args.route]
-    poly = route(args.space, args.n, args.p, args.s, args.j)
+    poly = WITNESS_ROUTES[args.route](args.space, args.n, args.p, args.s, args.j)
     _dump([list(pair) for pair in poly.pairs()])
     return 0
 
@@ -161,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", required=True, type=int)
     p.add_argument("--j", type=int, default=None, choices=[1, 2],
                    help="flavor, symmetric case with s < n")
-    p.add_argument("--route", choices=["closed", "enum", "bott"], default="closed")
+    p.add_argument("--route", choices=list(WITNESS_ROUTES), default="closed")
     p.set_defaults(fn=_cmd_ext)
 
     p = sub.add_parser("bott", help="cohomology of S_beta(R) (x) S_alpha(Q) on G(k, V)")

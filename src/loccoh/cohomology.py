@@ -18,22 +18,21 @@ here, the Ext machinery for it being a separate development.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 
-from .characters import GENERAL, SKEW, SYMM, SimpleLabel
-from .extmult import witness_ext_bott, witness_ext_closed, witness_ext_enum
+from .characters import GENERAL, SKEW, SYMM, SimpleLabel, _check_int
+from .extmult import _CLOSED_FORM_CACHE_SIZE, WITNESS_ROUTES
 from .qseries import LaurentPoly, gauss
-
-_ROUTES = {
-    "closed": witness_ext_closed,
-    "enum": witness_ext_enum,
-    "bott": witness_ext_bott,
-}
 
 
 def _check_args(space: str, n: int, p: int, m: int | None) -> None:
     if space not in (GENERAL, SKEW, SYMM):
         raise ValueError(f"unknown space {space!r}")
+    _check_int("n", n)
+    _check_int("p", p)
+    if m is not None:
+        _check_int("m", m)
     if n < 1:
         raise ValueError("n must be positive")
     if space == GENERAL:
@@ -119,8 +118,19 @@ def support_poly(space: str, n: int, p: int, m: int | None = None) -> SupportPol
     Symm n x n: sum over s = p, p-2, ... >= 0 of
     D_s * q^(1 + C(n-s+1,2) - C(p-s+2,2)) * (floor((n-s-1)/2) choose
     (p-s)/2) in q^-4.
+
+    The arguments are validated on every call and the terms are then
+    memoised per process; each call returns a fresh ``SupportPoly`` whose
+    ``terms`` dict the caller may change (the polynomials are immutable and
+    shared).
     """
     _check_args(space, n, p, m)
+    return SupportPoly(space, n, p, m, dict(_support_terms(space, n, p, m)))
+
+
+@lru_cache(maxsize=_CLOSED_FORM_CACHE_SIZE)
+def _support_terms(space: str, n: int, p: int, m: int | None) -> tuple[tuple[int, LaurentPoly], ...]:
+    """The (s, polynomial) terms of ``support_poly`` for validated arguments."""
     terms: dict[int, LaurentPoly] = {}
     if space == GENERAL:
         for s in range(p + 1):
@@ -138,7 +148,7 @@ def support_poly(space: str, n: int, p: int, m: int | None = None) -> SupportPol
         for s in range(p % 2, p + 1, 2):
             base = 1 + comb(n - s + 1, 2) - comb(p - s + 2, 2)
             terms[s] = LaurentPoly.q(base) * gauss((n - s - 1) // 2, (p - s) // 2, -4)
-    return SupportPoly(space, n, p, m, terms)
+    return tuple(terms.items())
 
 
 def support_poly_from_ext(space: str, n: int, p: int, route: str = "closed") -> SupportPoly:
@@ -153,7 +163,9 @@ def support_poly_from_ext(space: str, n: int, p: int, route: str = "closed") -> 
     if space == GENERAL:
         raise ValueError("the Ext assembly route covers skew/symm only")
     _check_args(space, n, p, None)
-    witness = _ROUTES[route]
+    witness = WITNESS_ROUTES.get(route)
+    if witness is None:
+        raise ValueError(f"unknown route {route!r}; expected one of {', '.join(WITNESS_ROUTES)}")
     terms: dict[int, LaurentPoly] = {}
     for s in range(p + 1):
         if space == SKEW:

@@ -23,10 +23,19 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from operator import add
 
-from .characters import SKEW, SYMM, SimpleLabel, _check_bound, _check_space, witness_weight
+from .characters import (
+    SKEW,
+    SYMM,
+    SimpleLabel,
+    _check_bound,
+    _check_int,
+    _check_space,
+    witness_weight,
+)
 from .partitions import (
     Partition,
     Weight,
@@ -209,6 +218,11 @@ def ext_character(space: str, n: int, x: Partition, p: int, bound: int) -> Grade
 
 def _validate_witness_args(space: str, n: int, p: int, s: int, flavor: int | None) -> None:
     _check_space(space)
+    _check_int("n", n)
+    _check_int("p", p)
+    _check_int("s", s)
+    if flavor is not None:
+        _check_int("flavor", flavor)
     if space == SKEW:
         m = n // 2
         if not 0 <= p < m:
@@ -228,6 +242,10 @@ def _validate_witness_args(space: str, n: int, p: int, s: int, flavor: int | Non
             raise ValueError(f"flavor must be 1 or 2, got {flavor}")
 
 
+# Bounded so a sweep over large n cannot keep every polynomial; n, m <= 16 give ~1,000 keys.
+_CLOSED_FORM_CACHE_SIZE = 4096
+
+
 def witness_ext_closed(space: str, n: int, p: int, s: int, flavor: int | None = None) -> LaurentPoly:
     """Closed form for the witness multiplicity inside Ext(J_p, S).
 
@@ -239,8 +257,17 @@ def witness_ext_closed(space: str, n: int, p: int, s: int, flavor: int | None = 
     parity and (for s < n) flavor and s do; else
     q^(1 + C(s+1,2) - C(s-(n-p)+2,2)) times the
     (floor((s-1)/2) choose (s-(n-p))/2) Gauss polynomial in q^-4.
+
+    The arguments are validated on every call; the polynomial is then
+    memoised per process (``LaurentPoly`` is immutable, so it is shared).
     """
     _validate_witness_args(space, n, p, s, flavor)
+    return _witness_closed(space, n, p, s, flavor)
+
+
+@lru_cache(maxsize=_CLOSED_FORM_CACHE_SIZE)
+def _witness_closed(space: str, n: int, p: int, s: int, flavor: int | None) -> LaurentPoly:
+    """``witness_ext_closed`` for validated arguments."""
     if space == SKEW:
         m = n // 2
         if s < m - p:
@@ -353,3 +380,11 @@ def witness_ext_bott(
             f"{space} n={n} p={p} s={s}: forced-degree analysis violated"
         )
     return LaurentPoly(total)
+
+
+# The three routes by name, for ``support_poly_from_ext`` and ``loccoh ext``.
+WITNESS_ROUTES = {
+    "closed": witness_ext_closed,
+    "enum": witness_ext_enum,
+    "bott": witness_ext_bott,
+}

@@ -1,7 +1,10 @@
 """The main closed forms, the Ext assembly, dimensions and top supports."""
 
+from math import comb
+
 import pytest
 
+from loccoh import cohomology, extmult
 from loccoh.characters import SKEW, SYMM, SimpleLabel
 from loccoh.cohomology import (
     GENERAL,
@@ -96,23 +99,32 @@ def test_top_support_ties_on_hypersurfaces():
 
 
 def test_bottom_degree_is_codimension():
-    # local cohomology starts exactly in the codimension of the rank locus
-    from math import comb
-
-    for n in range(1, 9):
+    # Grothendieck vanishing and nonvanishing: local cohomology starts
+    # exactly in the codimension of the rank locus, where (general
+    # matrices) D_p occurs
+    for n in range(1, 13):
         for p in range(n):
             hp = support_poly(SYMM, n, p)
             assert min(t.bottom_degree() for t in hp.terms.values()) == comb(n - p + 1, 2)
-    for n in range(2, 9):
+    for n in range(2, 13):
         for p in range(n // 2):
             hp = support_poly(SKEW, n, p)
             assert min(t.bottom_degree() for t in hp.terms.values()) == comb(n - 2 * p, 2)
-    for n in range(1, 7):
-        for m in range(n, 8):
+    for n in range(1, 11):
+        for m in range(n, 13):
             for p in range(n):
                 hp = support_poly(GENERAL, n, p, m)
                 bottom = min(t.bottom_degree() for t in hp.terms.values())
-                assert bottom == (n - p) * (m - p)
+                assert bottom == (n - p) * (m - p) == hp.terms[p].bottom_degree()
+
+
+def test_general_maximal_minors():
+    # maximal minors (p = n-1, Raicu-Weyman-Witt): H^j is nonzero exactly for
+    # j = (n-s)(m-n) + 1, where D_s occurs once
+    for n in range(1, 11):
+        for m in range(n, 13):
+            terms = support_poly(GENERAL, n, n - 1, m).terms
+            assert terms == {s: LaurentPoly.q((n - s) * (m - n) + 1) for s in range(n)}
 
 
 def test_submaximal_pfaffian_shape():
@@ -151,3 +163,84 @@ def test_json_shape():
     }
     d = support_poly(GENERAL, 2, 0, 3).to_json_dict()
     assert d["m"] == 3 and d["terms"][0]["label"] == {"s": 0, "flavor": None}
+
+
+@pytest.mark.parametrize("fn", [support_poly, lcd, lcd_closed_form, top_support])
+@pytest.mark.parametrize("args,name", [
+    ((SYMM, True, 0), "n"),
+    ((SYMM, 4.0, 1), "n"),
+    ((SYMM, None, 1), "n"),
+    ((SKEW, 5, 1.0), "p"),
+    ((SYMM, 3, False), "p"),
+    ((GENERAL, 3, 1, 4.0), "m"),
+    ((GENERAL, 3, 1, True), "m"),
+])
+def test_non_int_arguments_rejected_by_name(fn, args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an int"):
+        fn(*args)
+
+
+@pytest.mark.parametrize("args,name", [
+    ((SYMM, True, 0), "n"),
+    ((SKEW, 5.0, 1), "n"),
+    ((SKEW, 5, True), "p"),
+])
+def test_assembly_rejects_non_int_arguments_by_name(args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an int"):
+        support_poly_from_ext(*args)
+
+
+def test_assembly_rejects_an_unknown_route():
+    with pytest.raises(ValueError, match="unknown route 'fast'"):
+        support_poly_from_ext(SKEW, 5, 1, "fast")
+
+
+@pytest.mark.parametrize("space,n,p,m", [
+    (GENERAL, 5, 2, 7), (SKEW, 9, 3, None), (SYMM, 7, 4, None),
+])
+def test_repeated_calls_return_equal_fresh_results(space, n, p, m):
+    first = support_poly(space, n, p, m)
+    again = support_poly(space, n, p, m)
+    assert again == first and again is not first and again.terms is not first.terms
+    expected = dict(cohomology._support_terms.__wrapped__(space, n, p, m))
+    assert first.terms == expected
+    first.terms.clear()
+    assert support_poly(space, n, p, m).terms == expected
+    again.terms[p] = LaurentPoly.zero()
+    assert support_poly(space, n, p, m).terms == expected
+
+
+def test_validation_runs_before_the_cache():
+    # the equal-hash keys of valid calls must not reach their cached terms
+    for valid, bad in [
+        ((SYMM, 1, 0), (SYMM, True, 0)),
+        ((SYMM, 4, 1), (SYMM, 4.0, 1)),
+        ((SYMM, 3, 1), (SYMM, 3, True)),
+        ((GENERAL, 3, 1, 4), (GENERAL, 3, 1, 4.0)),
+    ]:
+        support_poly(*valid)
+        with pytest.raises(ValueError, match="must be an int"):
+            support_poly(*bad)
+        with pytest.raises(ValueError, match="must be an int"):
+            lcd(*bad)
+
+
+def test_the_two_routes_keep_separate_caches():
+    cases = [(SKEW, n, p) for n in range(2, 10) for p in range(n // 2)]
+    cases += [(SYMM, n, p) for n in range(1, 8) for p in range(n)]
+    cohomology._support_terms.cache_clear()
+    extmult._witness_closed.cache_clear()
+    for args in cases:  # both cold: the Ext route fills only the witness cache
+        assert support_poly_from_ext(*args, "closed").terms == support_poly(*args).terms
+    assert cohomology._support_terms.cache_info().hits == 0
+    assert extmult._witness_closed.cache_info().hits == 0
+    for args in cases:  # both warm
+        assert support_poly_from_ext(*args, "closed").terms == support_poly(*args).terms
+    assert cohomology._support_terms.cache_info().hits == len(cases)
+    assert extmult._witness_closed.cache_info().misses == extmult._witness_closed.cache_info().hits
+
+
+def test_caches_are_bounded():
+    for helper in (cohomology._support_terms, extmult._witness_closed):
+        maxsize = helper.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0

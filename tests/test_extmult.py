@@ -9,6 +9,7 @@ from collections import Counter
 
 import pytest
 
+from loccoh import extmult
 from loccoh.characters import SKEW, SYMM
 from loccoh.extmult import (
     ext_character,
@@ -70,6 +71,33 @@ def test_range_validation():
         witness_ext_closed(SYMM, 4, 1, 3)  # missing flavor below s=n
     with pytest.raises(ValueError):
         witness_ext_closed(SKEW, 6, 1, 2, 1)  # flavor on a skew witness
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("args,name", [
+    ((SYMM, 3, 1, 2, 2.0), "flavor"),
+    ((SYMM, 3, 1, 2, True), "flavor"),
+    ((SKEW, 5.0, 1, 2), "n"),
+    ((SYMM, True, 0, 1), "n"),
+    ((SKEW, 5, True, 2), "p"),
+    ((SYMM, 3, 1, 3.0), "s"),
+    ((SKEW, 5, 1, None), "s"),
+])
+def test_non_int_arguments_rejected_by_name(route, args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an int"):
+        route(*args)
+
+
+def test_closed_route_memoises_behind_validation():
+    expected = extmult._witness_closed.__wrapped__(SYMM, 7, 4, 5, 1)
+    assert witness_ext_closed(SYMM, 7, 4, 5, 1) == expected
+    assert witness_ext_closed(SYMM, 7, 4, 5, 1) == expected
+    witness_ext_closed(SYMM, 3, 1, 2, 2)
+    with pytest.raises(ValueError, match="flavor must be an int"):
+        witness_ext_closed(SYMM, 3, 1, 2, 2.0)
+    witness_ext_closed(SKEW, 3, 0, 1)
+    with pytest.raises(ValueError, match="n must be an int"):
+        witness_ext_closed(SKEW, 3.0, 0, 1)
 
 
 def test_triple_agreement_small_grid():
