@@ -41,22 +41,77 @@ SYMM = "symm"
 GENERAL = "general"
 
 
-def _check_space(space: str) -> str:
-    if space not in (SKEW, SYMM):
-        raise ValueError(f"space must be '{SKEW}' or '{SYMM}', got {space!r}")
-    return space
-
-
-def _check_bound(bound: int) -> None:
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
-
-
 def _check_int(name: str, value) -> None:
     """Reject a value that is not a plain int, naming the argument: a bool
     or a float equal to an int is not coerced into one."""
     if type(value) is not int:
         raise ValueError(f"{name} must be an int, got {value!r}")
+
+
+@dataclass(frozen=True)
+class Space:
+    """The facts that tell skew-symmetric and symmetric n x n matrices apart,
+    all derived from ``block`` (2 skew, 1 symm) and ``sign`` (-1, +1):
+
+    * a coordinate-ring weight is ``shape(z)``, z repeated (skew) or 2z
+      (symm), for z with at most ``rows(n)`` = n // block parts;
+    * the rank-p locus has a quotient bundle of rank block * p;
+    * the space has dimension n(n + sign)/2 and determinant det(W)^(n + sign);
+    * the class D_s is the simple of index rows(n) - s; only symm simples
+      below index n carry a flavor, 1 for an odd index and 2 for an even one.
+    """
+
+    name: str
+    block: int
+    sign: int
+
+    def rows(self, n: int) -> int:
+        return n // self.block
+
+    def shape(self, z: Partition) -> Partition:
+        return duplicated(z) if self.block == 2 else doubled(z)
+
+    def quotient_rank(self, p: int) -> int:
+        return self.block * p
+
+    def ambient(self, n: int) -> int:
+        return n * (n + self.sign) // 2
+
+    def det_shift(self, n: int) -> int:
+        return n + self.sign
+
+    def twist(self, head: int, p: int) -> int:
+        """Twist of a layer whose first quotient-rank parts equal head."""
+        return head - self.block * p - self.sign
+
+    def top_index(self, n: int, p: int) -> int:
+        """Codimension-style index: Ext degree = this minus Bott degree."""
+        return self.ambient(n) - self.ambient(self.block * p)
+
+    def class_label(self, n: int, s: int) -> tuple[int, int | None]:
+        """Index and flavor of the simple module D_s stands for."""
+        index = n // self.block - s  # rows(n) - s, inlined: one call per term
+        return index, None if self.block == 2 or index == n else 2 - index % 2
+
+
+SPACES = {SKEW: Space(SKEW, 2, -1), SYMM: Space(SYMM, 1, 1)}
+
+
+def _record(space: str, n: int = 0, p: int = 0, s: int = 0, bound: int = 0) -> Space:
+    """The record of a skew/symm space, after checking that the arguments an
+    entry point passes are plain ints and its truncation bound is
+    non-negative: the boundary check of every skew/symm entry point."""
+    try:
+        sp = SPACES[space]
+    except (KeyError, TypeError):
+        raise ValueError(f"space must be '{SKEW}' or '{SYMM}', got {space!r}") from None
+    # one test on the hot path; _check_int only names the culprit
+    if not (type(n) is int and type(p) is int and type(s) is int and type(bound) is int):
+        for name, value in (("n", n), ("p", p), ("s", s), ("bound", bound)):
+            _check_int(name, value)
+    if bound < 0:
+        raise ValueError("bound must be non-negative")
+    return sp
 
 
 @dataclass(frozen=True, order=True)
@@ -75,29 +130,28 @@ class SimpleLabel:
     flavor: int | None = None
 
     def __post_init__(self):
-        _check_space(self.space)
-        if self.space == SKEW:
-            if not 0 <= self.s <= self.n // 2:
-                raise ValueError(f"skew index s={self.s} out of range for n={self.n}")
-            if self.flavor is not None:
+        n, s, flavor = self.n, self.s, self.flavor
+        sp = _record(self.space, n=n, s=s)
+        if flavor is not None and type(flavor) is not int:
+            _check_int("flavor", flavor)
+        # n // sp.block is sp.rows(n), inlined: a label makes one call, the lookup
+        if not 0 <= s <= n // sp.block:
+            raise ValueError(f"{self.space} index s={s} out of range for n={n}")
+        if sp.block == 2:
+            if flavor is not None:
                 raise ValueError("skew labels carry no flavor")
-        else:
-            if not 0 <= self.s <= self.n:
-                raise ValueError(f"symm index s={self.s} out of range for n={self.n}")
-            if self.s == self.n:
-                if self.flavor is not None:
-                    object.__setattr__(self, "flavor", None)
-            elif self.flavor not in (1, 2):
-                raise ValueError("symm labels with s < n require flavor 1 or 2")
+        elif s == n:
+            if flavor is not None:
+                object.__setattr__(self, "flavor", None)
+        elif flavor not in (1, 2):
+            raise ValueError("symm labels with s < n require flavor 1 or 2")
 
 
 def all_labels(space: str, n: int) -> list[SimpleLabel]:
     """Every simple label: floor(n/2)+1 for skew, 2n+1 for symm."""
-    if _check_space(space) == SKEW:
+    if _record(space, n=n).block == 2:
         return [SimpleLabel(SKEW, n, s) for s in range(n // 2 + 1)]
-    out = [SimpleLabel(SYMM, n, s, j) for s in range(n) for j in (1, 2)]
-    out.append(SimpleLabel(SYMM, n, n))
-    return out
+    return [SimpleLabel(SYMM, n, s, j) for s in range(n) for j in (1, 2)] + [SimpleLabel(SYMM, n, n)]
 
 
 def member_skew(lam: Weight, s: int, n: int) -> bool:
@@ -109,6 +163,9 @@ def member_skew(lam: Weight, s: int, n: int) -> bool:
     lam_{2i} = lam_{2i+1} for i > s}.  Conditions on out-of-range indices
     are vacuous.
     """
+    if not (type(s) is int and type(n) is int):
+        for name, value in (("s", s), ("n", n)):
+            _check_int(name, value)
     lam = weight(lam)
     if len(lam) != n:
         raise ValueError(f"weight {lam} does not have rank {n}")
@@ -139,6 +196,9 @@ def member_symm(lam: Weight, s: int, flavor: int, n: int) -> bool:
     lam_s >= s+1 >= lam_{s+2}.  Flavor 2: entries 1..s congruent to s+1,
     entries s+1..n congruent to s, and lam_s >= s+1, lam_{s+1} <= s.
     """
+    if not (type(s) is int and type(flavor) is int and type(n) is int):
+        for name, value in (("s", s), ("flavor", flavor), ("n", n)):
+            _check_int(name, value)
     lam = weight(lam)
     if len(lam) != n:
         raise ValueError(f"weight {lam} does not have rank {n}")
@@ -217,37 +277,48 @@ def _partitions_up_to(most: int, rows: int) -> Iterator[Partition]:
         yield from partitions_of_size(t, rows)
 
 
-def _ring_partitions(space: str, n: int, bound: int) -> Iterator[tuple[Partition, Partition]]:
-    """Pairs (z, shape(z)) where shape is 2z (symm) or z repeated (skew),
-    over all z giving |shape| <= bound: exactly the partitions z of size at
-    most bound // 2 with at most n (symm) resp. floor(n/2) (skew) parts,
-    enumerated size by size, none built and dropped."""
-    rows = n if space == SYMM else n // 2
-    shape = doubled if space == SYMM else duplicated
-    for z in _partitions_up_to(bound // 2, rows):
-        yield z, shape(z)
+def _ring_partitions(sp: Space, n: int, bound: int) -> Iterator[tuple[Partition, Partition]]:
+    """Pairs (z, shape(z)) over all z giving |shape(z)| <= bound: exactly
+    the partitions z of size at most bound // 2 with at most rows(n) parts,
+    enumerated size by size, none built and dropped.  Reads the record's
+    ``rows`` and ``shape``."""
+    for z in _partitions_up_to(bound // 2, sp.rows(n)):
+        yield z, sp.shape(z)
 
 
 def space_character(space: str, n: int, bound: int) -> Counter:
     """Character of the coordinate ring, truncated at total size <= bound:
     all 2z (symm) resp. z repeated (skew), each with multiplicity 1."""
-    _check_space(space)
-    _check_bound(bound)
-    return Counter(shape for _, shape in _ring_partitions(space, n, bound))
+    sp = _record(space, n=n, bound=bound)
+    return Counter(shape for _, shape in _ring_partitions(sp, n, bound))
 
 
 def ideal_character(space: str, n: int, z: Partition, bound: int) -> Counter:
     """Character of the ideal generated by the irreducible attached to z:
     the shapes coming from y >= z componentwise, truncated at bound."""
-    _check_space(space)
-    _check_bound(bound)
+    sp = _record(space, n=n, bound=bound)
     z = partition(z)
-    rows = n if space == SYMM else n // 2
+    rows = sp.rows(n)
     if len(z) > rows:
         raise ValueError(f"z={z} needs at most {rows} parts for {space} n={n}")
     return Counter(
-        shape for y, shape in _ring_partitions(space, n, bound) if dominates(y, z)
+        shape for y, shape in _ring_partitions(sp, n, bound) if dominates(y, z)
     )
+
+
+def _layer_head(sp: Space, x: Partition, n: int, p: int) -> tuple[tuple[int, ...], int]:
+    """x zero-padded to n and the quotient rank k, after checking that x is
+    a partition with at most n parts whose first k parts are equal."""
+    k = sp.quotient_rank(p)
+    if p < 0 or k > n:
+        raise ValueError(f"invalid p={p} for {sp.name} n={n}")
+    x = partition(x)
+    if len(x) > n:
+        raise ValueError(f"x={x} needs at most {n} parts")
+    xp = padded(x, n)
+    if any(xp[i] != xp[0] for i in range(k)):
+        raise ValueError(f"first {k} parts of x={x} must be equal")
+    return xp, k
 
 
 def layer_character(space: str, n: int, x: Partition, p: int, bound: int) -> Counter:
@@ -260,21 +331,11 @@ def layer_character(space: str, n: int, x: Partition, p: int, bound: int) -> Cou
     multiplicity-free.  The y are enumerated size by size up to
     (bound - |x|) // 2.
     """
-    _check_space(space)
-    _check_bound(bound)
-    x = partition(x)
-    if len(x) > n:
-        raise ValueError(f"x={x} needs at most {n} parts")
-    head = p if space == SYMM else 2 * p
-    if p < 0 or (space == SYMM and p > n) or (space == SKEW and 2 * p > n):
-        raise ValueError(f"invalid p={p} for {space} n={n}")
-    xp = padded(x, n)
-    if any(xp[i] != xp[0] for i in range(head)):
-        raise ValueError(f"first {head} parts of x={x} must be equal")
-    shape = doubled if space == SYMM else duplicated
+    sp = _record(space, n=n, p=p, bound=bound)
+    xp, _ = _layer_head(sp, x, n, p)
     out: Counter = Counter()
-    for y in _partitions_up_to((bound - size(x)) // 2, p):
-        out[partition(tuple(a + b for a, b in zip(xp, padded(shape(y), n))))] += 1
+    for y in _partitions_up_to((bound - sum(xp)) // 2, p):
+        out[partition(tuple(a + b for a, b in zip(xp, padded(sp.shape(y), n))))] += 1
     return out
 
 
@@ -289,9 +350,8 @@ def filtration_layers(space: str, n: int, p: int, bound: int) -> list[Partition]
     works; size-then-lex is such an order and is fixed here for
     reproducibility.
     """
-    _check_space(space)
-    _check_bound(bound)
-    rows = n if space == SYMM else n // 2
+    sp = _record(space, n=n, p=p, bound=bound)
+    rows = sp.rows(n)
     if not 0 <= p < rows:
         raise ValueError(f"invalid p={p} for {space} n={n}")
     out = []
@@ -332,21 +392,21 @@ def filtration_check(space: str, n: int, p: int, bound: int) -> FiltrationReport
     ().  Reports the first layer where the characters disagree.
     """
     layers = filtration_layers(space, n, p, bound)
+    sp = SPACES[space]  # filtration_layers has checked every argument
     # a layer larger than y cannot lie below it, so the search for the
     # last dominated layer starts at the last one of size <= |y|
     sizes = [size(z) for z in layers]
     quotients = [Counter() for _ in layers]
-    for y, shape_y in _ring_partitions(space, n, bound):
+    for y, shape_y in _ring_partitions(sp, n, bound):
         r = bisect_right(sizes, size(y)) - 1
         while r >= 0 and not dominates(y, layers[r]):
             r -= 1
         if r < 0:
             raise AssertionError(f"ring partition {y} dominates no layer, not even ()")
         quotients[r][shape_y] = 1
-    shape = doubled if space == SYMM else duplicated
     union_layers: Counter = Counter()
     for r, (lam, expected) in enumerate(zip(layers, quotients)):
-        got = layer_character(space, n, shape(lam), p, bound)
+        got = layer_character(space, n, sp.shape(lam), p, bound)
         union_layers += got
         if expected != got:
             return FiltrationReport(

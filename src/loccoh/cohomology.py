@@ -21,12 +21,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
-from .characters import GENERAL, SKEW, SYMM, SimpleLabel, _check_int
+from .characters import GENERAL, SKEW, SYMM, SPACES, SimpleLabel, Space, _check_int, _record
 from .extmult import _CLOSED_FORM_CACHE_SIZE, WITNESS_ROUTES
 from .qseries import LaurentPoly, gauss
 
 
-def _check_args(space: str, n: int, p: int, m: int | None) -> None:
+def _check_args(space: str, n: int, p: int, m: int | None) -> Space | None:
+    """Check a closed-form request; return its skew/symm record, or None."""
     if space not in (GENERAL, SKEW, SYMM):
         raise ValueError(f"unknown space {space!r}")
     _check_int("n", n)
@@ -35,30 +36,24 @@ def _check_args(space: str, n: int, p: int, m: int | None) -> None:
         _check_int("m", m)
     if n < 1:
         raise ValueError("n must be positive")
-    if space == GENERAL:
+    sp = None if space == GENERAL else SPACES[space]
+    if sp is None:
         if m is None or m < n:
             raise ValueError("general matrices need m >= n")
-        if not 0 <= p < n:
-            raise ValueError(f"need 0 <= p < n, got p={p}")
-    elif space == SKEW:
-        if m is not None:
-            raise ValueError("m is only meaningful for general matrices")
-        if not 0 <= p < n // 2:
-            raise ValueError(f"need 0 <= p < floor(n/2), got p={p}, n={n}")
-    else:
-        if m is not None:
-            raise ValueError("m is only meaningful for general matrices")
-        if not 0 <= p < n:
-            raise ValueError(f"need 0 <= p < n, got p={p}")
+    elif m is not None:
+        raise ValueError("m is only meaningful for general matrices")
+    # n // sp.block is sp.rows(n), inlined: every closed-form request passes here
+    if not 0 <= p < (n if sp is None else n // sp.block):
+        raise ValueError(f"need 0 <= p < floor(n/2), got p={p}, n={n}" if space == SKEW
+                         else f"need 0 <= p < n, got p={p}")
+    return sp
 
 
 def ambient_dimension(space: str, n: int, m: int | None = None) -> int:
-    """Dimension of the matrix space itself."""
+    """Dimension of the matrix space itself: mn, or the record's ``ambient``."""
     if space == GENERAL:
         return m * n
-    if space == SKEW:
-        return comb(n, 2)
-    return comb(n + 1, 2)
+    return _record(space, n=n).ambient(n)
 
 
 @dataclass
@@ -85,23 +80,20 @@ class SupportPoly:
         return sorted(s for s, t in self.terms.items() if t.top_degree() == top)
 
     def simple_label(self, s: int) -> SimpleLabel | None:
-        """Resolve the class D_s to its simple-module label (skew/symm)."""
-        if self.space == SKEW:
-            return SimpleLabel(SKEW, self.n, self.n // 2 - s)
-        if self.space == SYMM:
-            s2 = self.n - s
-            return SimpleLabel(SYMM, self.n, s2, None if s2 == self.n else (1 if s2 % 2 else 2))
-        return None
+        """The simple-module label of D_s (skew/symm), by ``Space.class_label``."""
+        if self.space == GENERAL:
+            return None
+        return SimpleLabel(self.space, self.n, *_record(self.space).class_label(self.n, s))
 
     def to_json_dict(self) -> dict:
         out = {"space": self.space, "n": self.n, "p": self.p}
-        if self.space == GENERAL:
+        sp = _record(self.space) if self.space != GENERAL else None
+        if sp is None:
             out["m"] = self.m
         terms = []
         for s in sorted(self.terms):
-            label: dict = {"s": s}
-            simple = self.simple_label(s)
-            label["flavor"] = simple.flavor if simple is not None else None
+            # the flavor of simple_label(s), read without building the label
+            label = {"s": s, "flavor": None if sp is None else sp.class_label(self.n, s)[1]}
             terms.append({"label": label, "poly": [list(pair) for pair in self.terms[s].pairs()]})
         out["terms"] = terms
         return out
@@ -154,25 +146,22 @@ def _support_terms(space: str, n: int, p: int, m: int | None) -> tuple[tuple[int
 def support_poly_from_ext(space: str, n: int, p: int, route: str = "closed") -> SupportPoly:
     """Local cohomology classes assembled from Ext witness multiplicities.
 
-    Each class D_s corresponds to the simple with index floor(n/2)-s (skew)
-    or n-s with the parity-determined flavor (symm); its polynomial is the
-    witness multiplicity inside Ext(J_p, S), computed by the requested
-    route (``closed``, ``enum`` or ``bott``).  Only skew/symm spaces: the
-    general-matrix Ext computation is out of scope here.
+    Each class D_s corresponds to the simple ``Space.class_label`` names,
+    index floor(n/2)-s (skew) or n-s with a parity flavor (symm); its
+    polynomial is the witness multiplicity inside Ext(J_p, S), computed by
+    the requested route (``closed``, ``enum`` or ``bott``).  Only skew/symm
+    spaces: the general-matrix Ext computation is out of scope here.
     """
     if space == GENERAL:
         raise ValueError("the Ext assembly route covers skew/symm only")
-    _check_args(space, n, p, None)
+    sp = _check_args(space, n, p, None)
     witness = WITNESS_ROUTES.get(route)
     if witness is None:
         raise ValueError(f"unknown route {route!r}; expected one of {', '.join(WITNESS_ROUTES)}")
     terms: dict[int, LaurentPoly] = {}
     for s in range(p + 1):
-        if space == SKEW:
-            poly = witness(SKEW, n, p, n // 2 - s)
-        else:
-            s2 = n - s
-            poly = witness(SYMM, n, p, s2, None if s2 == n else (1 if s2 % 2 else 2))
+        index, flavor = sp.class_label(n, s)
+        poly = witness(space, n, p, index, flavor)
         if not poly.is_zero:
             terms[s] = poly
     return SupportPoly(space, n, p, None, terms)

@@ -29,11 +29,11 @@ from operator import add
 
 from .characters import (
     SKEW,
-    SYMM,
     SimpleLabel,
-    _check_bound,
+    Space,
     _check_int,
-    _check_space,
+    _layer_head,
+    _record,
     witness_weight,
 )
 from .partitions import (
@@ -73,55 +73,40 @@ class GradedCharacter:
         return self.by_degree.get(degree, Counter()).get(tuple(lam), 0)
 
 
-def _quotient_rank(space: str, p: int) -> int:
-    """Rank of the tautological quotient bundle for the rank-p locus."""
-    return p if space == SYMM else 2 * p
-
-
-def _top_index(space: str, n: int, p: int) -> int:
-    """Codimension-style index: Ext degree = this minus Bott degree."""
-    if space == SYMM:
-        return comb(n + 1, 2) - comb(p + 1, 2)
-    return comb(n, 2) - comb(2 * p, 2)
-
-
-def _det_shift(space: str, n: int) -> int:
-    """det of the ambient space is det(W) to this power."""
-    return n + 1 if space == SYMM else n - 1
-
-
 def _shifted_heads(
-    space: str, n: int, p: int, twist: int, ys: Iterable[Partition]
+    sp: Space, n: int, p: int, twist: int, ys: Iterable[Partition]
 ) -> Iterator[tuple[int, ...]]:
     """``shifted(alpha, n)`` for the quotient-bundle weight alpha of the y-th
     summand of the dual twisted symmetric algebra, for each y in ``ys``.
 
-    alpha_i = twist - z_{k-i}, z the doubled (symm) or duplicated (skew) y
-    zero-padded to the quotient rank k.  The ys must be partitions with at
-    most p parts; they are not validated again.
+    alpha_i = twist - z_{k-i}, z the record's shape of y (doubled for symm,
+    duplicated for skew) zero-padded to the quotient rank k.  The ys must be
+    partitions with at most p parts; they are not validated again.
     """
-    k = _quotient_rank(space, p)
+    k = sp.quotient_rank(p)
+    symm = sp.block == 1
     offsets = list(range(twist + n - 1, twist + n - 1 - k, -1))
     for y in ys:
-        z = [2 * a for a in y] if space == SYMM else [a for a in y for _ in (0, 1)]
+        # the record's shape, inlined: this loop feeds the Bott kernel
+        z = [2 * a for a in y] if symm else [a for a in y for _ in (0, 1)]
         # z reversed and zero-padded on the left lines up with the offsets
         j = k - len(z)
         yield tuple(offsets[:j] + [o - a for o, a in zip(offsets[j:], reversed(z))])
 
 
-def _head_partition(space: str, n: int, twist: int, head: tuple[int, ...]) -> Partition | None:
+def _head_partition(sp: Space, n: int, twist: int, head: tuple[int, ...]) -> Partition | None:
     """Inverse of ``_shifted_heads``: the y whose head is ``head``, or None
     when no partition gives it.
 
     z reversed is offsets - head.  Since the offsets drop by one per place
     and the head strictly decreasing, z is non-increasing already; it must
-    be non-negative and doubled (symm) or duplicated (skew), and then y is
-    z halved or every other entry of z, zero-padded to p parts.
+    be non-negative and in the record's shape, doubled (symm) or duplicated
+    (skew); y is z halved or every other entry of z, zero-padded to p parts.
     """
     z = [o - h for o, h in zip(range(twist + n - len(head), twist + n), reversed(head))]
     if z and z[-1] < 0:
         return None
-    if space == SYMM:
+    if sp.block == 1:
         if any(a % 2 for a in z):
             return None
         return tuple(a // 2 for a in z)
@@ -131,37 +116,17 @@ def _head_partition(space: str, n: int, twist: int, head: tuple[int, ...]) -> Pa
     return tuple(y)
 
 
-def _twist(space: str, head: int, p: int) -> int:
-    """Twist of a layer whose first k parts (k the quotient rank) equal head."""
-    return head - (p + 1) if space == SYMM else head - (2 * p - 1)
-
-
-def _layer_shape(space: str, x: Partition, n: int, p: int) -> tuple[int, tuple[int, ...], int]:
-    """Split x into the twist of its head and its rank n-k sub-bundle
-    weight; k is the quotient rank."""
-    k = _quotient_rank(space, p)
-    if p < 0 or k > n:
-        raise ValueError(f"invalid p={p} for {space} n={n}")
-    x = partition(x)
-    if len(x) > n:
-        raise ValueError(f"x={x} needs at most {n} parts")
-    xp = padded(x, n)
-    if any(xp[i] != xp[0] for i in range(k)):
-        raise ValueError(f"first {k} parts of x={x} must be equal")
-    return _twist(space, xp[0] if k else 0, p), xp[k:], k
-
-
 def _layer_witness_counts(
-    space: str, n: int, k: int, top: int, twist: int, x2: tuple[int, ...],
+    sp: Space, n: int, k: int, top: int, twist: int, x2: tuple[int, ...],
     target_c: tuple[int, ...], target_size: int,
 ) -> Counter:
     """Multiplicity generating function of a rank-n weight inside
     Ext(J_{x,p}, S), via sheaf cohomology and the Bott algorithm, as
-    exponent -> coefficient.  The layer x is given by its twist and its
-    rank n-k sub-bundle weight x2, as ``_layer_shape`` returns them; they
-    are not validated.  The target enters as ``target_c``, the shifted
-    entries of the target minus the determinant shift, and ``target_size``,
-    the size of that difference; ``top`` is ``_top_index``.  All three are
+    exponent -> coefficient.  The layer x is given by the record's twist of
+    its head and its rank n-k sub-bundle weight x2; they are not validated.
+    The target enters as ``target_c``, the shifted entries of the target
+    minus the record's determinant shift, and ``target_size``, the size of
+    that difference; ``top`` is the record's ``top_index``.  All three are
     fixed for a whole ``witness_ext_bott`` call, which computes them once.
 
     Output weights shrink by 2 per unit of the symmetric-algebra index, so
@@ -178,7 +143,7 @@ def _layer_witness_counts(
     if res is None:
         return counts
     degree, head = res
-    y = _head_partition(space, n, twist, head)
+    y = _head_partition(sp, n, twist, head)
     if y is not None and sum(y) == needed // 2:
         counts[top - degree] += 1
     return counts
@@ -193,11 +158,11 @@ def ext_character(space: str, n: int, x: Partition, p: int, bound: int) -> Grade
     completeness of the window.  Raises when the window cannot contain any
     output at all.
     """
-    _check_space(space)
-    _check_bound(bound)
-    twist, x2, k = _layer_shape(space, x, n, p)
-    shift = _det_shift(space, n)
-    top = _top_index(space, n, p)
+    sp = _record(space, n=n, p=p, bound=bound)
+    xp, k = _layer_head(sp, x, n, p)
+    twist, x2 = sp.twist(xp[0] if k else 0, p), xp[k:]
+    shift = sp.det_shift(n)
+    top = sp.top_index(n, p)
     base_final = k * twist + sum(x2) + n * shift
     if base_final < -bound:
         raise ValueError(
@@ -210,21 +175,19 @@ def ext_character(space: str, n: int, x: Partition, p: int, bound: int) -> Grade
           if -bound <= base_final - 2 * half <= bound
           for y in partitions_of_size(half, p))
     by_degree: defaultdict[int, Counter] = defaultdict(Counter)
-    for res in bott_kernel(shifted(x2, n - k), _shifted_heads(space, n, p, twist, ys)):
+    for res in bott_kernel(shifted(x2, n - k), _shifted_heads(sp, n, p, twist, ys)):
         if res is not None:
             by_degree[top - res[0]][tuple(map(add, res[1], offsets))] += 1
     return GradedCharacter(dict(by_degree), bound)
 
 
-def _validate_witness_args(space: str, n: int, p: int, s: int, flavor: int | None) -> None:
-    _check_space(space)
-    _check_int("n", n)
-    _check_int("p", p)
-    _check_int("s", s)
-    if flavor is not None:
+def _validate_witness_args(space: str, n: int, p: int, s: int, flavor: int | None) -> Space:
+    """Check a witness request; return the record of its space."""
+    sp = _record(space, n=n, p=p, s=s)
+    if flavor is not None and type(flavor) is not int:
         _check_int("flavor", flavor)
     if space == SKEW:
-        m = n // 2
+        m = sp.rows(n)
         if not 0 <= p < m:
             raise ValueError(f"need 0 <= p < floor(n/2), got p={p}, n={n}")
         if not 0 <= s <= m:
@@ -240,6 +203,7 @@ def _validate_witness_args(space: str, n: int, p: int, s: int, flavor: int | Non
             raise ValueError("symm witnesses with s < n require flavor 1 or 2")
         if flavor not in (None, 1, 2):
             raise ValueError(f"flavor must be 1 or 2, got {flavor}")
+    return sp
 
 
 # Bounded so a sweep over large n cannot keep every polynomial; n, m <= 16 give ~1,000 keys.
@@ -340,36 +304,34 @@ def witness_ext_bott(
     the witness extraction over every layer.  Exactly one d may contribute;
     a second nonzero d would falsify the forced-degree analysis and raises.
     """
-    _validate_witness_args(space, n, p, s, flavor)
-    label = SimpleLabel(space, n, s) if space == SKEW else SimpleLabel(
-        SYMM, n, s, None if s == n else flavor
-    )
-    target = witness_weight(label)
+    sp = _validate_witness_args(space, n, p, s, flavor)
+    # a symm label at s = n drops the flavor itself
+    target = witness_weight(SimpleLabel(space, n, s, flavor))
     if space == SKEW:
         forced = 2 * s + 2 * p - n + 1
-        tail_len = n // 2 - p - 1
     else:
         forced = (s + p - n) // 2 if (s + p - n) % 2 == 0 else 0
-        tail_len = n - p - 1
     if d_bound is None:
         d_bound = max(forced, 0) + 2
-    k = _quotient_rank(space, p)
-    top = _top_index(space, n, p)
-    shift = _det_shift(space, n)
+    tail_len = sp.rows(n) - p - 1
+    k = sp.quotient_rank(p)
+    top = sp.top_index(n, p)
+    shift = sp.det_shift(n)
     target_mu = tuple(t - shift for t in target)
     target_c, target_size = shifted(target_mu, n), sum(target_mu)
     total = Counter()
     contributing: list[int] = []
+    symm = sp.block == 1
     for d in range(d_bound + 1):
         at_d = Counter()
-        twist = _twist(space, d if space == SKEW else 2 * d, p)
+        # the layer x is y = (d^(p+1), tail) in the record's shape, padded
+        # to n; its first k parts all equal its head, 2d // block
+        twist = sp.twist(2 * d // sp.block, p)
         for tail in enumerate_box(tail_len, d):
-            # the layer x is y = (d^(p+1), tail) duplicated (skew) or doubled
-            # (symm), zero-padded to n; its first k parts all equal its head
             y = (d,) * (p + 1) + padded(tail, tail_len)
-            x = [a for a in y for _ in (0, 1)] if space == SKEW else [2 * a for a in y]
+            x = [2 * a for a in y] if symm else [a for a in y for _ in (0, 1)]
             at_d.update(_layer_witness_counts(
-                space, n, k, top, twist, padded(x, n)[k:], target_c, target_size
+                sp, n, k, top, twist, padded(x, n)[k:], target_c, target_size
             ))
         if at_d:
             contributing.append(d)

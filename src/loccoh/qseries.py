@@ -160,18 +160,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "LaurentPoly":
-        if k < 0:
-            raise ValueError("negative powers are not supported")
-        out = LaurentPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def divexact(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Exact division; raises ArithmeticError when the division has a
         remainder (including non-integer quotient coefficients)."""
@@ -284,8 +272,3 @@ def gauss_enum(a: int, b: int, variable_power: int = 1) -> LaurentPoly:
     low = b * (b - 1) // 2
     counts = Counter(map(sum, combinations(range(a), b)))
     return LaurentPoly({variable_power * (e - low): c for e, c in counts.items()})
-
-
-def top_degree(f: LaurentPoly) -> int | None:
-    """Module-level alias for LaurentPoly.top_degree."""
-    return f.top_degree()

@@ -1,11 +1,13 @@
 """Weight sets, witnesses, dimensions, ring/ideal/layer characters."""
 
 from collections import Counter
+from math import comb
 
 import pytest
 
 from loccoh.characters import (
     SKEW,
+    SPACES,
     SYMM,
     SimpleLabel,
     all_labels,
@@ -63,6 +65,68 @@ def test_label_validation():
         SimpleLabel(SKEW, 4, 1, 1)
     # the two flavors of s=n are the same module: canonicalized
     assert SimpleLabel(SYMM, 4, 4, 1) == SimpleLabel(SYMM, 4, 4, 2) == SimpleLabel(SYMM, 4, 4)
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: SimpleLabel(SYMM, 3, 1, True), "flavor"),
+    (lambda: SimpleLabel(SYMM, 3, 1, 2.0), "flavor"),
+    (lambda: SimpleLabel(SYMM, 3.0, 1, 2), "n"),
+    (lambda: SimpleLabel(SKEW, True, 0), "n"),
+    (lambda: SimpleLabel(SKEW, 4, 1.0), "s"),
+    (lambda: SimpleLabel(SYMM, 3, False, 1), "s"),
+    (lambda: all_labels(SYMM, 3.0), "n"),
+    (lambda: member_symm((2, 2, 2), 1, True, 3), "flavor"),
+    (lambda: member_symm((2, 2, 2), 1.0, 1, 3), "s"),
+    (lambda: member_symm((2, 2, 2), 1, 1, 3.0), "n"),
+    (lambda: member_skew((0, 0, 0, 0), True, 4), "s"),
+    (lambda: member_skew((0, 0, 0, 0), 0, 4.0), "n"),
+    (lambda: space_character(SKEW, 4.0, 2), "n"),
+    (lambda: space_character(SYMM, 3, 6.0), "bound"),
+    (lambda: ideal_character(SYMM, True, (1,), 4), "n"),
+    (lambda: ideal_character(SYMM, 3, (1,), 4.0), "bound"),
+    (lambda: layer_character(SYMM, 3, (2, 2), True, 8), "p"),
+    (lambda: layer_character(SKEW, 4.0, (1, 1), 1, 8), "n"),
+    (lambda: layer_character(SYMM, 3, (2, 2), 1, 8.0), "bound"),
+    (lambda: filtration_layers(SKEW, 6, 1.0, 8), "p"),
+    (lambda: filtration_check(SYMM, True, 0, 6), "n"),
+    (lambda: filtration_check(SYMM, 3, 1.0, 6), "p"),
+    (lambda: filtration_check(SYMM, 3, 1, True), "bound"),
+])
+def test_non_int_arguments_rejected_by_name(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: SimpleLabel("general", 3, 0),
+    lambda: all_labels("Skew", 4),
+    lambda: space_character(["skew"], 4, 2),
+    lambda: filtration_check("symm ", 3, 1, 6),
+])
+def test_unknown_space_rejected(call):
+    with pytest.raises(ValueError, match="^space must be 'skew' or 'symm', got "):
+        call()
+
+
+@pytest.mark.parametrize("space", [SKEW, SYMM])
+def test_space_record_matches_the_paper(space):
+    # reference formulas written out per space, independently of the record
+    sp = SPACES[space]
+    for n in range(20):
+        skew = space == SKEW
+        assert sp.rows(n) == (n // 2 if skew else n)
+        assert sp.ambient(n) == (comb(n, 2) if skew else comb(n + 1, 2))
+        assert sp.det_shift(n) == (n - 1 if skew else n + 1)
+        for p in range(sp.rows(n)):
+            k = 2 * p if skew else p
+            assert sp.quotient_rank(p) == k
+            assert sp.top_index(n, p) == (
+                comb(n, 2) - comb(2 * p, 2) if skew else comb(n + 1, 2) - comb(p + 1, 2)
+            )
+            for head in range(-3, 4):
+                assert sp.twist(head, p) == (head - (2 * p - 1) if skew else head - (p + 1))
+        for z in enumerate_box(min(sp.rows(n), 3), 3):
+            assert sp.shape(z) == (duplicated(z) if skew else doubled(z))
 
 
 def test_witness_weights():

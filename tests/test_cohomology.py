@@ -61,6 +61,61 @@ def test_symm_label_resolution():
     assert sk.simple_label(1) == SimpleLabel(SKEW, 6, 2)
 
 
+def test_ambient_dimension_matches_the_paper():
+    for n in range(1, 17):
+        assert ambient_dimension(SKEW, n) == comb(n, 2)
+        assert ambient_dimension(SYMM, n) == comb(n + 1, 2)
+        for m in range(n, 17):
+            assert ambient_dimension(GENERAL, n, m) == m * n
+    with pytest.raises(ValueError, match="^n must be an int"):
+        ambient_dimension(SYMM, 4.0)
+
+
+def _keys(top):
+    for n in range(1, top + 1):
+        for p in range(n // 2):
+            yield SKEW, n, p
+        for p in range(n):
+            yield SYMM, n, p
+
+
+def _reference_label(space, n, s):
+    # the D_s -> simple map as the paper states it: index floor(n/2) - s for
+    # skew; index n - s for symm, flavored by its parity below n
+    if space == SKEW:
+        return SimpleLabel(SKEW, n, n // 2 - s)
+    index = n - s
+    return SimpleLabel(SYMM, n, index, None if index == n else (1 if index % 2 else 2))
+
+
+def test_class_labels_match_the_witness_the_assembly_reads(monkeypatch):
+    read = []
+
+    def spy(space, n, p, s, flavor=None):
+        read.append(SimpleLabel(space, n, s, flavor))
+        return LaurentPoly.q(0)
+
+    monkeypatch.setitem(extmult.WITNESS_ROUTES, "spy", spy)
+    for space, n, p in _keys(16):
+        read.clear()
+        hp = support_poly_from_ext(space, n, p, "spy")
+        assert sorted(hp.terms) == list(range(p + 1))
+        assert read == [hp.simple_label(s) for s in range(p + 1)]
+        assert read == [_reference_label(space, n, s) for s in range(p + 1)]
+
+
+def test_json_flavor_is_the_label_flavor():
+    for space, n, p in _keys(16):
+        hp = support_poly(space, n, p)
+        terms = hp.to_json_dict()["terms"]
+        assert [t["label"]["s"] for t in terms] == sorted(hp.terms)
+        for t in terms:
+            s = t["label"]["s"]
+            assert t["label"]["flavor"] == hp.simple_label(s).flavor
+            assert t["label"]["flavor"] == _reference_label(space, n, s).flavor
+    assert support_poly(GENERAL, 3, 1, 4).to_json_dict()["terms"][0]["label"]["flavor"] is None
+
+
 def test_lcd_examples():
     assert lcd(SYMM, 3, 1) == 3 == lcd_closed_form(SYMM, 3, 1)
     assert lcd(SKEW, 5, 1) == 5 == lcd_closed_form(SKEW, 5, 1)

@@ -88,6 +88,25 @@ def test_non_int_arguments_rejected_by_name(route, args, name):
         route(*args)
 
 
+@pytest.mark.parametrize("args,name", [
+    ((SYMM, 3, (2, 2, 0), True, 6), "p"),
+    ((SYMM, 3, (2, 2, 0), 1.0, 6), "p"),
+    ((SYMM, 3.0, (2, 2, 0), 1, 6), "n"),
+    ((SKEW, True, (), 0, 6), "n"),
+    ((SKEW, 4, (1, 1), 1, 6.0), "bound"),
+    ((SYMM, 3, (2, 2, 0), 1, False), "bound"),
+])
+def test_ext_character_rejects_non_int_arguments_by_name(args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
+        ext_character(*args)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_unknown_space_rejected(route):
+    with pytest.raises(ValueError, match="^space must be 'skew' or 'symm', got 'general'$"):
+        route("general", 3, 1, 2)
+
+
 def test_closed_route_memoises_behind_validation():
     expected = extmult._witness_closed.__wrapped__(SYMM, 7, 4, 5, 1)
     assert witness_ext_closed(SYMM, 7, 4, 5, 1) == expected

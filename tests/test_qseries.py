@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from loccoh.partitions import enumerate_box, size
-from loccoh.qseries import LaurentPoly, gauss, gauss_enum, top_degree
+from loccoh.qseries import LaurentPoly, gauss, gauss_enum
 
 polys = st.dictionaries(st.integers(-8, 8), st.integers(-9, 9), max_size=5).map(LaurentPoly)
 
@@ -67,16 +67,9 @@ def test_no_stored_zero_coefficients(f):
     assert all(c != 0 for _, c in g.pairs())
 
 
-def test_power():
-    f = LaurentPoly({1: 1, 0: 1})
-    assert f ** 2 == LaurentPoly({2: 1, 1: 2, 0: 1})
-    assert f ** 0 == 1
-
-
 def test_top_degree():
     assert LaurentPoly({3: 1, 5: 1}).top_degree() == 5
     assert LaurentPoly.zero().top_degree() is None
-    assert top_degree(gauss(4, 2)) == 4
     assert LaurentPoly({-3: 2, 4: 1}).bottom_degree() == -3
 
 
