@@ -22,7 +22,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from operator import add, neg, sub
 
-from .partitions import Partition, Weight, conjugate, dual, padded, partition, size, weight
+from .partitions import Partition, Weight, _check_int, conjugate, dual, padded, partition, size, weight
 from .qseries import LaurentPoly
 
 
@@ -122,41 +122,17 @@ def bott(alpha: Weight, beta: Weight, n: int) -> BottCohomology | None:
     """
     alpha = weight(alpha)
     beta = weight(beta)
+    _check_int("n", n)
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
     k = len(alpha)
-    if not 0 <= k <= n or len(beta) != n - k:
+    if len(beta) != n - k:
         raise ValueError(f"rank mismatch: |alpha|={k}, |beta|={len(beta)}, n={n}")
     c = shifted(alpha + beta, n)
     res = next(bott_kernel(c[k:], (c[:k],)))
     if res is None:
         return None
     return BottCohomology(res[0], unshifted(res[1]))
-
-
-def sigma_of_partition(t: Partition, k: int, n: int) -> tuple[int, ...]:
-    """The permutation of {1..n} attached to a partition t in the
-    (n-k) x k box, in one-line form.
-
-    sigma(i) = t'_{k+1-i} + i for i <= k and sigma(i) = i - t_{i-k} for
-    i > k; it increases on each block and its inversion number is |t|.
-    """
-    t = partition(t)
-    if len(t) > n - k or (t and t[0] > k):
-        raise ValueError(f"{t} is not inside a {n - k}x{k} box")
-    tp = padded(conjugate(t), k)
-    tt = padded(t, n - k)
-    head = [tp[k - i] + i for i in range(1, k + 1)]
-    tail = [i - tt[i - k - 1] for i in range(k + 1, n + 1)]
-    sigma = tuple(head + tail)
-    if sorted(sigma) != list(range(1, n + 1)):
-        raise AssertionError(f"not a permutation: {sigma}")
-    return sigma
-
-
-def inversions(sigma: tuple[int, ...]) -> int:
-    """Number of pairs x < y with sigma(x) > sigma(y)."""
-    return sum(
-        1 for x in range(len(sigma)) for y in range(x + 1, len(sigma)) if sigma[x] > sigma[y]
-    )
 
 
 def trivial_isotypic(beta: Partition, k: int, n: int) -> tuple[LaurentPoly, Weight | None]:

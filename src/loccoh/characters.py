@@ -25,6 +25,7 @@ from math import prod
 from .partitions import (
     Partition,
     Weight,
+    _check_int,
     dominates,
     doubled,
     duplicated,
@@ -39,13 +40,6 @@ from .partitions import (
 SKEW = "skew"
 SYMM = "symm"
 GENERAL = "general"
-
-
-def _check_int(name: str, value) -> None:
-    """Reject a value that is not a plain int, naming the argument: a bool
-    or a float equal to an int is not coerced into one."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 @dataclass(frozen=True)

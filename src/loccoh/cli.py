@@ -192,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the sweep ceilings")
     p.add_argument("--bound", type=int, default=None,
                    help="override the truncation windows")
-    p.add_argument("--threads", type=int, default=None,
-                   help="parallel checks (default: LOCCOH_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes for independent checks (default: 1)")
     p.set_defaults(fn=_cmd_verify)
 
     return parser

@@ -21,17 +21,18 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
-from .characters import GENERAL, SKEW, SYMM, SPACES, SimpleLabel, Space, _check_int, _record
+from .characters import GENERAL, SKEW, SYMM, SPACES, SimpleLabel, Space, _record
 from .extmult import _CLOSED_FORM_CACHE_SIZE, WITNESS_ROUTES
+from .partitions import _check_int
 from .qseries import LaurentPoly, gauss
 
 
-def _check_args(space: str, n: int, p: int, m: int | None) -> Space | None:
-    """Check a closed-form request; return its skew/symm record, or None."""
+def _check_space(space: str, n: int, m: int | None) -> Space | None:
+    """Check the space, n and m of a request; return its skew/symm record,
+    or None for general matrices."""
     if space not in (GENERAL, SKEW, SYMM):
         raise ValueError(f"unknown space {space!r}")
     _check_int("n", n)
-    _check_int("p", p)
     if m is not None:
         _check_int("m", m)
     if n < 1:
@@ -42,6 +43,13 @@ def _check_args(space: str, n: int, p: int, m: int | None) -> Space | None:
             raise ValueError("general matrices need m >= n")
     elif m is not None:
         raise ValueError("m is only meaningful for general matrices")
+    return sp
+
+
+def _check_args(space: str, n: int, p: int, m: int | None) -> Space | None:
+    """Check a closed-form request; return its skew/symm record, or None."""
+    sp = _check_space(space, n, m)
+    _check_int("p", p)
     # n // sp.block is sp.rows(n), inlined: every closed-form request passes here
     if not 0 <= p < (n if sp is None else n // sp.block):
         raise ValueError(f"need 0 <= p < floor(n/2), got p={p}, n={n}" if space == SKEW
@@ -51,9 +59,8 @@ def _check_args(space: str, n: int, p: int, m: int | None) -> Space | None:
 
 def ambient_dimension(space: str, n: int, m: int | None = None) -> int:
     """Dimension of the matrix space itself: mn, or the record's ``ambient``."""
-    if space == GENERAL:
-        return m * n
-    return _record(space, n=n).ambient(n)
+    sp = _check_space(space, n, m)
+    return m * n if sp is None else sp.ambient(n)
 
 
 @dataclass

@@ -31,7 +31,6 @@ from .characters import (
     SKEW,
     SimpleLabel,
     Space,
-    _check_int,
     _layer_head,
     _record,
     witness_weight,
@@ -39,6 +38,7 @@ from .characters import (
 from .partitions import (
     Partition,
     Weight,
+    _check_int,
     conjugate,
     doubled,
     duplicated,

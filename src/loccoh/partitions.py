@@ -10,7 +10,6 @@ immutable.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from math import comb
 from operator import index, lt
 
 Partition = tuple[int, ...]
@@ -28,6 +27,13 @@ def _integers(entries: Iterable[int]) -> tuple[int, ...]:
     if bool in map(type, t):
         raise TypeError(f"bool entry in {t}")
     return tuple(map(index, t))
+
+
+def _check_int(name: str, value) -> None:
+    """Reject a value that is not a plain int, naming the argument: a bool
+    or a float equal to an int is not coerced into one."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 def partition(parts: Iterable[int]) -> Partition:
@@ -106,19 +112,6 @@ def duplicated(z: Iterable[int]) -> Partition:
     return tuple(a for a in partition(z) for _ in (0, 1))
 
 
-def complement_in_box(z: Iterable[int], rows: int, width: int) -> Partition:
-    """Complement of the Young diagram inside a rows x width rectangle.
-
-    An involution on partitions fitting the box; part i of the result is
-    width - z_{rows+1-i}.
-    """
-    z = partition(z)
-    p = padded(z, rows)
-    if p and p[0] > width:
-        raise ValueError(f"{z} does not fit in a {rows}x{width} box")
-    return partition(width - p[rows - 1 - i] for i in range(rows))
-
-
 def dominates(y: Iterable[int], z: Iterable[int]) -> bool:
     """Componentwise y_i >= z_i, padding the shorter with zeros."""
     y, z = tuple(y), tuple(z)
@@ -149,11 +142,6 @@ def enumerate_box(rows: int, width: int) -> Iterator[Partition]:
             parts = rows
         else:
             parts -= 1
-
-
-def box_count(rows: int, width: int) -> int:
-    """Number of partitions in the rows x width box."""
-    return comb(rows + width, rows)
 
 
 def partitions_of_size(total: int, max_parts: int, max_part: int | None = None) -> Iterator[Partition]:

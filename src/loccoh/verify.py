@@ -2,17 +2,15 @@
 
 Each check sweeps a stated parameter range and either passes or produces a
 machine-readable counterexample.  The ranges default to the acceptance
-ranges and can be scaled with ``max_n`` / ``bound``.  The runner honors the
-LOCCOH_THREADS environment variable for running independent checks in
-parallel; output order is always declaration order.
+ranges and can be scaled with ``max_n`` / ``bound``.  With ``threads`` above
+1 the runner runs independent checks in that many worker processes; output
+order is always declaration order.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -37,7 +35,7 @@ from .cohomology import (
     top_support,
 )
 from .extmult import ext_character, witness_ext_bott, witness_ext_closed, witness_ext_enum
-from .partitions import enumerate_box, padded, size
+from .partitions import _check_int, enumerate_box, padded, size
 from .qseries import LaurentPoly, gauss, gauss_enum
 
 Check = tuple[bool, dict | None, str]
@@ -361,25 +359,23 @@ def run_suite(
     suite: str = "all",
     max_n: int | None = None,
     bound: int | None = None,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> list[VerifyReport]:
     """Run the named suite and return reports in declaration order."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     for name, value in (("max_n", max_n), ("bound", bound), ("threads", threads)):
-        if value is not None and value < 1:
+        if value is None and name != "threads":
+            continue
+        _check_int(name, value)
+        if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
     names = [n for n, (_, tag) in CHECKS.items() if suite in ("all", tag)]
     items = [(name, max_n, bound) for name in names]
-    if threads is None:
-        setting = os.environ.get("LOCCOH_THREADS", "1")
-        try:
-            threads = int(setting)
-        except ValueError:
-            raise ValueError(f"LOCCOH_THREADS must be an integer, got {setting!r}") from None
-        if threads < 1:
-            raise ValueError(f"LOCCOH_THREADS must be at least 1, got {threads}")
     if threads > 1 and len(items) > 1:
+        # imported here, so a serial run and the CLI never load the pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(_run_one, items))
     return [_run_one(item) for item in items]

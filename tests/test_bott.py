@@ -11,9 +11,7 @@ from loccoh.bott import (
     bott,
     bott_kernel,
     bott_preimage,
-    inversions,
     shifted,
-    sigma_of_partition,
     trivial_isotypic,
     unshifted,
     wedge_isotypic,
@@ -53,6 +51,19 @@ def test_rank_mismatch_rejected():
         bott((1, 2), (0,), 3)  # not dominant
 
 
+@pytest.mark.parametrize("n,message", [
+    (-1, "n must be non-negative, got -1"),
+    (True, "n must be an int, got True"),
+    (2.0, "n must be an int, got 2.0"),
+])
+def test_bad_n_rejected_by_name(n, message):
+    # the fault is n itself, not the ranks of alpha and beta
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        bott((1,), (0,), n)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        bott((), (), n)
+
+
 def test_degree_bounded_by_grassmannian_dimension():
     for n in range(1, 6):
         for k in range(n + 1):
@@ -83,33 +94,6 @@ def test_serre_duality():
                     if res is not None:
                         assert res_dual.degree == dim - res.degree
                         assert res_dual.weight == dual(res.weight)
-
-
-def test_sigma_identity_for_empty_partition():
-    assert sigma_of_partition((), 2, 5) == (1, 2, 3, 4, 5)
-
-
-def test_sigma_example():
-    sigma = sigma_of_partition((1, 1), 1, 3)
-    assert sigma == (3, 1, 2)
-    assert inversions(sigma) == 2
-
-
-def test_sigma_inversions_count_partition_size():
-    # brute-force inversion count against |t| over a whole box
-    for k, n in [(2, 4), (1, 3), (3, 5), (2, 5)]:
-        for t in enumerate_box(n - k, k):
-            sigma = sigma_of_partition(t, k, n)
-            assert sorted(sigma[:k]) == list(sigma[:k])
-            assert sorted(sigma[k:]) == list(sigma[k:])
-            assert inversions(sigma) == size(t)
-
-
-def test_sigma_rejects_partition_outside_box():
-    with pytest.raises(ValueError):
-        sigma_of_partition((3,), 2, 4)
-    with pytest.raises(ValueError):
-        sigma_of_partition((1, 1, 1), 1, 3)
 
 
 def test_trivial_isotypic_examples():

@@ -109,14 +109,13 @@ def test_verify_rejects_non_positive_ranges(capsys):
         assert "at least 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("setting", ["x", "0"])
-def test_verify_rejects_bad_thread_setting(capsys, monkeypatch, setting):
-    # a mistyped LOCCOH_THREADS is reported, not replaced by a serial run
-    monkeypatch.setenv("LOCCOH_THREADS", setting)
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--suite", "qseries"])
-    assert exc.value.code == 2
-    assert "LOCCOH_THREADS" in capsys.readouterr().err
+@pytest.mark.parametrize("name,value", [
+    ("max_n", True), ("max_n", 2.5), ("bound", 8.0), ("threads", None), ("threads", 1.0),
+])
+def test_run_suite_rejects_non_int_ranges_by_name(name, value):
+    # a bool or float range is not coerced into a sweep ceiling
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got {value!r}$"):
+        verify_mod.run_suite("qseries", **{name: value})
 
 
 def test_verify_reports_failures(capsys, monkeypatch):
@@ -180,6 +179,14 @@ def test_negative_bound_rejected_by_name(capsys, argv):
     assert out == "" and "--bound" in err and "non-negative" in err
 
 
+def test_bott_negative_n_rejected_by_name(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bott", "--n", "-1", "--k", "0", "--alpha", "--beta"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith("error: n must be non-negative, got -1\n")
+
+
 def test_main_builds_the_parser_once(capsys, monkeypatch):
     assert cli.build_parser() is not cli.build_parser()
     real = cli.build_parser
@@ -200,14 +207,27 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
     assert len(built) == 1
 
 
-def _fresh_process(argv):
-    """(exit status, stdout, stderr) of ``python -m loccoh`` in a new process."""
+def _python(*args):
+    """``python *args`` in a new process that imports this checkout."""
     src = os.path.dirname(os.path.dirname(loccoh.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "loccoh", *argv], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=60)
+
+
+def _fresh_process(argv):
+    """(exit status, stdout, stderr) of ``python -m loccoh`` in a new process."""
+    proc = _python("-m", "loccoh", *argv)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only a parallel verify run needs the pool, so no CLI start pays for its import
+    proc = _python("-c", "import sys, loccoh.cli; "
+                         "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_back_to_back_calls_carry_no_state(capsys):

@@ -71,6 +71,23 @@ def test_ambient_dimension_matches_the_paper():
         ambient_dimension(SYMM, 4.0)
 
 
+@pytest.mark.parametrize("args,message", [
+    ((GENERAL, 3.0, 4), "n must be an int, got 3.0"),
+    ((GENERAL, 3, 4.0), "m must be an int, got 4.0"),
+    ((GENERAL, 3, True), "m must be an int, got True"),
+    ((GENERAL, 0, 4), "n must be positive"),
+    ((GENERAL, 5, 2), "general matrices need m >= n"),
+    ((GENERAL, 3), "general matrices need m >= n"),
+    ((SKEW, 4, 5), "m is only meaningful for general matrices"),
+    ((SYMM, 3, 3), "m is only meaningful for general matrices"),
+    (("square", 3), "unknown space 'square'"),
+])
+def test_ambient_dimension_checks_its_arguments(args, message):
+    # the space, n and m checks of the closed forms, without a p
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ambient_dimension(*args)
+
+
 def _keys(top):
     for n in range(1, top + 1):
         for p in range(n // 2):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loccoh.partitions import (
-    complement_in_box,
     conjugate,
     dominates,
     doubled,
@@ -82,24 +81,6 @@ def test_enumerate_box_count_and_uniqueness(rows, width):
     assert len(out) == len(set(out)) == comb(rows + width, rows)
     for z in out:
         assert len(z) <= rows and (not z or z[0] <= width)
-
-
-def test_box_closed_under_complement():
-    for rows, width in [(2, 3), (3, 3), (4, 2)]:
-        box = set(enumerate_box(rows, width))
-        for z in box:
-            c = complement_in_box(z, rows, width)
-            assert c in box
-            assert complement_in_box(c, rows, width) == z
-            assert size(z) + size(c) == rows * width
-
-
-def test_complement_example_and_errors():
-    assert complement_in_box((2, 1), 2, 3) == (2, 1)
-    with pytest.raises(ValueError):
-        complement_in_box((4,), 2, 3)
-    with pytest.raises(ValueError):
-        complement_in_box((1, 1, 1), 2, 3)
 
 
 def test_transforms():
