@@ -21,14 +21,13 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from math import prod
+from operator import lt
 
 from .partitions import (
     Partition,
     Weight,
     _check_int,
     dominates,
-    doubled,
-    duplicated,
     enumerate_weights,
     padded,
     partition,
@@ -45,7 +44,8 @@ GENERAL = "general"
 @dataclass(frozen=True)
 class Space:
     """The facts that tell skew-symmetric and symmetric n x n matrices apart,
-    all derived from ``block`` (2 skew, 1 symm) and ``sign`` (-1, +1):
+    all derived from ``block`` (2 skew, 1 symm) and ``sign`` (-1, +1), and
+    the rules built on them; no code outside this class reads ``block``:
 
     * a coordinate-ring weight is ``shape(z)``, z repeated (skew) or 2z
       (symm), for z with at most ``rows(n)`` = n // block parts;
@@ -63,7 +63,16 @@ class Space:
         return n // self.block
 
     def shape(self, z: Partition) -> Partition:
-        return duplicated(z) if self.block == 2 else doubled(z)
+        """z repeated (skew) or doubled (symm); z is not validated."""
+        return tuple([a for a in z for _ in (0, 1)] if self.block == 2 else [2 * a for a in z])
+
+    def unshape(self, t: tuple[int, ...]) -> Partition | None:
+        """The z (zero parts allowed) with shape(z) == t, or None if none."""
+        if any(map(lt, t, t[1:])) or (t and t[-1] < 0):
+            return None
+        if self.block == 2:
+            return t[::2] if t[::2] == t[1::2] else None
+        return None if any(a % 2 for a in t) else tuple([a // 2 for a in t])
 
     def quotient_rank(self, p: int) -> int:
         return self.block * p
@@ -87,14 +96,55 @@ class Space:
         index = n // self.block - s  # rows(n) - s, inlined: one call per term
         return index, None if self.block == 2 or index == n else 2 - index % 2
 
+    def flavored(self, n: int, s: int) -> bool:
+        """Does the simple of index s carry a flavor (symm, s < n)?"""
+        return self.block == 1 and s != n
+
+    def check_label(self, n: int, s: int, flavor: int | None) -> int | None:
+        """The label rule, for checked ints n and s: 0 <= s <= rows(n), and a
+        flavor 1 or 2 exactly when ``flavored``, except that symm s = n may
+        name one; returns the canonical flavor (None there)."""
+        if flavor is not None and type(flavor) is not int:
+            _check_int("flavor", flavor)
+        if not 0 <= s <= n // self.block:
+            raise ValueError(f"{self.name} index s={s} out of range for n={n}")
+        if self.block == 2:
+            if flavor is not None:
+                raise ValueError("skew labels carry no flavor")
+            return None
+        if s < n:  # flavored, inlined: every label and witness request passes here
+            if flavor not in (1, 2):
+                raise ValueError("symm labels with s < n require flavor 1 or 2")
+            return flavor
+        if flavor not in (None, 1, 2):
+            raise ValueError(f"flavor must be 1 or 2, got {flavor}")
+        return None
+
+    def witness(self, n: int, s: int, flavor: int | None) -> Weight:
+        """The weight of the simple (s, flavor) and of no other: (2s)^n skew,
+        ((s+1)^s, s^(n-s)) symm flavor 2 with s < n, else (s+1)^n."""
+        if self.block == 2:
+            return (2 * s,) * n
+        if flavor == 2 and s < n:
+            return (s + 1,) * s + (s,) * (n - s)
+        return (s + 1,) * n
+
+    def forced_top(self, n: int, p: int, s: int) -> int:
+        """The top value d of the J_p layers whose Ext can hold the witness of
+        index s, by the degree condition (0 where symm s + p - n is odd)."""
+        if self.block == 2:
+            return 2 * s + 2 * p - n + 1
+        return (s + p - n) // 2 if (s + p - n) % 2 == 0 else 0
+
 
 SPACES = {SKEW: Space(SKEW, 2, -1), SYMM: Space(SYMM, 1, 1)}
 
 
-def _record(space: str, n: int = 0, p: int = 0, s: int = 0, bound: int = 0) -> Space:
+def _record(space: str, n: int, p: int = 0, s: int = 0, bound: int = 0) -> Space:
     """The record of a skew/symm space, after checking that the arguments an
-    entry point passes are plain ints and its truncation bound is
-    non-negative: the boundary check of every skew/symm entry point."""
+    entry point passes are plain ints, n is positive and its truncation
+    bound is non-negative: the boundary check of every skew/symm entry
+    point."""
     try:
         sp = SPACES[space]
     except (KeyError, TypeError):
@@ -103,9 +153,19 @@ def _record(space: str, n: int = 0, p: int = 0, s: int = 0, bound: int = 0) -> S
     if not (type(n) is int and type(p) is int and type(s) is int and type(bound) is int):
         for name, value in (("n", n), ("p", p), ("s", s), ("bound", bound)):
             _check_int(name, value)
+    if n < 1:
+        raise ValueError("n must be positive")
     if bound < 0:
         raise ValueError("bound must be non-negative")
     return sp
+
+
+def _check_rank(sp: Space | None, n: int, p: int) -> None:
+    """The rank rule 0 <= p < rows(n) of every rank-p request, for checked
+    ints; general matrices (sp None) have rows(n) = n."""
+    rows = n if sp is None else sp.rows(n)
+    if not 0 <= p < rows:
+        raise ValueError(f"need 0 <= p < {'n' if rows == n else 'floor(n/2)'}, got p={p}, n={n}")
 
 
 @dataclass(frozen=True, order=True)
@@ -124,28 +184,16 @@ class SimpleLabel:
     flavor: int | None = None
 
     def __post_init__(self):
-        n, s, flavor = self.n, self.s, self.flavor
-        sp = _record(self.space, n=n, s=s)
-        if flavor is not None and type(flavor) is not int:
-            _check_int("flavor", flavor)
-        # n // sp.block is sp.rows(n), inlined: a label makes one call, the lookup
-        if not 0 <= s <= n // sp.block:
-            raise ValueError(f"{self.space} index s={s} out of range for n={n}")
-        if sp.block == 2:
-            if flavor is not None:
-                raise ValueError("skew labels carry no flavor")
-        elif s == n:
-            if flavor is not None:
-                object.__setattr__(self, "flavor", None)
-        elif flavor not in (1, 2):
-            raise ValueError("symm labels with s < n require flavor 1 or 2")
+        flavor = _record(self.space, self.n, 0, self.s).check_label(self.n, self.s, self.flavor)
+        if flavor != self.flavor:
+            object.__setattr__(self, "flavor", flavor)
 
 
 def all_labels(space: str, n: int) -> list[SimpleLabel]:
     """Every simple label: floor(n/2)+1 for skew, 2n+1 for symm."""
-    if _record(space, n=n).block == 2:
-        return [SimpleLabel(SKEW, n, s) for s in range(n // 2 + 1)]
-    return [SimpleLabel(SYMM, n, s, j) for s in range(n) for j in (1, 2)] + [SimpleLabel(SYMM, n, n)]
+    sp = _record(space, n=n)
+    return [SimpleLabel(space, n, s, j) for s in range(sp.rows(n) + 1)
+            for j in ((1, 2) if sp.flavored(n, s) else (None,))]
 
 
 def member_skew(lam: Weight, s: int, n: int) -> bool:
@@ -157,9 +205,7 @@ def member_skew(lam: Weight, s: int, n: int) -> bool:
     lam_{2i} = lam_{2i+1} for i > s}.  Conditions on out-of-range indices
     are vacuous.
     """
-    if not (type(s) is int and type(n) is int):
-        for name, value in (("s", s), ("n", n)):
-            _check_int(name, value)
+    _record(SKEW, n, 0, s)
     lam = weight(lam)
     if len(lam) != n:
         raise ValueError(f"weight {lam} does not have rank {n}")
@@ -190,9 +236,9 @@ def member_symm(lam: Weight, s: int, flavor: int, n: int) -> bool:
     lam_s >= s+1 >= lam_{s+2}.  Flavor 2: entries 1..s congruent to s+1,
     entries s+1..n congruent to s, and lam_s >= s+1, lam_{s+1} <= s.
     """
-    if not (type(s) is int and type(flavor) is int and type(n) is int):
-        for name, value in (("s", s), ("flavor", flavor), ("n", n)):
-            _check_int(name, value)
+    _record(SYMM, n, 0, s)
+    if type(flavor) is not int:
+        _check_int("flavor", flavor)
     lam = weight(lam)
     if len(lam) != n:
         raise ValueError(f"weight {lam} does not have rank {n}")
@@ -230,14 +276,8 @@ def member(label: SimpleLabel, lam: Weight) -> bool:
 
 def witness_weight(label: SimpleLabel) -> Weight:
     """The weight occurring in this simple module's character and in no
-    other: (2s)^n for skew; (s+1)^n for symm flavor 1 and
-    ((s+1)^s, s^(n-s)) for flavor 2."""
-    n, s = label.n, label.s
-    if label.space == SKEW:
-        return (2 * s,) * n
-    if label.flavor == 2 and s < n:
-        return (s + 1,) * s + (s,) * (n - s)
-    return (s + 1,) * n
+    other, by ``Space.witness``."""
+    return SPACES[label.space].witness(label.n, label.s, label.flavor)
 
 
 def enumerate_members(label: SimpleLabel, entry_bound: int) -> list[Weight]:
@@ -246,6 +286,9 @@ def enumerate_members(label: SimpleLabel, entry_bound: int) -> list[Weight]:
     The sets are infinite (unbounded below), so an entry bound is required
     to make the listing finite.
     """
+    _check_int("entry_bound", entry_bound)
+    if entry_bound < 0:
+        raise ValueError(f"entry_bound must be non-negative, got {entry_bound}")
     return [
         lam
         for lam in enumerate_weights(label.n, -entry_bound, entry_bound)
@@ -345,9 +388,8 @@ def filtration_layers(space: str, n: int, p: int, bound: int) -> list[Partition]
     reproducibility.
     """
     sp = _record(space, n=n, p=p, bound=bound)
+    _check_rank(sp, n, p)
     rows = sp.rows(n)
-    if not 0 <= p < rows:
-        raise ValueError(f"invalid p={p} for {space} n={n}")
     out = []
     for z in _partitions_up_to(bound // 2, rows):
         zp = padded(z, rows)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
-from .characters import GENERAL, SKEW, SYMM, SPACES, SimpleLabel, Space, _record
+from .characters import GENERAL, SKEW, SYMM, SPACES, SimpleLabel, Space, _check_rank
 from .extmult import _CLOSED_FORM_CACHE_SIZE, WITNESS_ROUTES
 from .partitions import _check_int
 from .qseries import LaurentPoly, gauss
@@ -50,10 +50,7 @@ def _check_args(space: str, n: int, p: int, m: int | None) -> Space | None:
     """Check a closed-form request; return its skew/symm record, or None."""
     sp = _check_space(space, n, m)
     _check_int("p", p)
-    # n // sp.block is sp.rows(n), inlined: every closed-form request passes here
-    if not 0 <= p < (n if sp is None else n // sp.block):
-        raise ValueError(f"need 0 <= p < floor(n/2), got p={p}, n={n}" if space == SKEW
-                         else f"need 0 <= p < n, got p={p}")
+    _check_rank(sp, n, p)
     return sp
 
 
@@ -90,11 +87,11 @@ class SupportPoly:
         """The simple-module label of D_s (skew/symm), by ``Space.class_label``."""
         if self.space == GENERAL:
             return None
-        return SimpleLabel(self.space, self.n, *_record(self.space).class_label(self.n, s))
+        return SimpleLabel(self.space, self.n, *SPACES[self.space].class_label(self.n, s))
 
     def to_json_dict(self) -> dict:
         out = {"space": self.space, "n": self.n, "p": self.p}
-        sp = _record(self.space) if self.space != GENERAL else None
+        sp = SPACES.get(self.space)
         if sp is None:
             out["m"] = self.m
         terms = []

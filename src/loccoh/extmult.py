@@ -29,16 +29,15 @@ from operator import add
 
 from .characters import (
     SKEW,
-    SimpleLabel,
+    SYMM,
     Space,
+    _check_rank,
     _layer_head,
     _record,
-    witness_weight,
 )
 from .partitions import (
     Partition,
     Weight,
-    _check_int,
     conjugate,
     doubled,
     duplicated,
@@ -79,41 +78,17 @@ def _shifted_heads(
     """``shifted(alpha, n)`` for the quotient-bundle weight alpha of the y-th
     summand of the dual twisted symmetric algebra, for each y in ``ys``.
 
-    alpha_i = twist - z_{k-i}, z the record's shape of y (doubled for symm,
-    duplicated for skew) zero-padded to the quotient rank k.  The ys must be
-    partitions with at most p parts; they are not validated again.
+    alpha_i = twist - z_{k-i}, z the record's shape of y zero-padded to the
+    quotient rank k.  The ys must be partitions with at most p parts; they
+    are not validated again.
     """
     k = sp.quotient_rank(p)
-    symm = sp.block == 1
     offsets = list(range(twist + n - 1, twist + n - 1 - k, -1))
     for y in ys:
-        # the record's shape, inlined: this loop feeds the Bott kernel
-        z = [2 * a for a in y] if symm else [a for a in y for _ in (0, 1)]
+        z = sp.shape(y)
         # z reversed and zero-padded on the left lines up with the offsets
         j = k - len(z)
         yield tuple(offsets[:j] + [o - a for o, a in zip(offsets[j:], reversed(z))])
-
-
-def _head_partition(sp: Space, n: int, twist: int, head: tuple[int, ...]) -> Partition | None:
-    """Inverse of ``_shifted_heads``: the y whose head is ``head``, or None
-    when no partition gives it.
-
-    z reversed is offsets - head.  Since the offsets drop by one per place
-    and the head strictly decreasing, z is non-increasing already; it must
-    be non-negative and in the record's shape, doubled (symm) or duplicated
-    (skew); y is z halved or every other entry of z, zero-padded to p parts.
-    """
-    z = [o - h for o, h in zip(range(twist + n - len(head), twist + n), reversed(head))]
-    if z and z[-1] < 0:
-        return None
-    if sp.block == 1:
-        if any(a % 2 for a in z):
-            return None
-        return tuple(a // 2 for a in z)
-    y = z[::2]
-    if y != z[1::2]:
-        return None
-    return tuple(y)
 
 
 def _layer_witness_counts(
@@ -143,7 +118,9 @@ def _layer_witness_counts(
     if res is None:
         return counts
     degree, head = res
-    y = _head_partition(sp, n, twist, head)
+    # the y of head: z reversed is the offsets of ``_shifted_heads`` minus head
+    offsets = range(twist + n - len(head), twist + n)
+    y = sp.unshape(tuple([o - h for o, h in zip(offsets, reversed(head))]))
     if y is not None and sum(y) == needed // 2:
         counts[top - degree] += 1
     return counts
@@ -182,27 +159,13 @@ def ext_character(space: str, n: int, x: Partition, p: int, bound: int) -> Grade
 
 
 def _validate_witness_args(space: str, n: int, p: int, s: int, flavor: int | None) -> Space:
-    """Check a witness request; return the record of its space."""
-    sp = _record(space, n=n, p=p, s=s)
-    if flavor is not None and type(flavor) is not int:
-        _check_int("flavor", flavor)
-    if space == SKEW:
-        m = sp.rows(n)
-        if not 0 <= p < m:
-            raise ValueError(f"need 0 <= p < floor(n/2), got p={p}, n={n}")
-        if not 0 <= s <= m:
-            raise ValueError(f"need 0 <= s <= floor(n/2), got s={s}, n={n}")
-        if flavor is not None:
-            raise ValueError("skew witnesses carry no flavor")
-    else:
-        if not 0 <= p < n:
-            raise ValueError(f"need 0 <= p < n, got p={p}, n={n}")
-        if not n - p <= s <= n:
-            raise ValueError(f"need n-p <= s <= n, got s={s}, p={p}, n={n}")
-        if s < n and flavor not in (1, 2):
-            raise ValueError("symm witnesses with s < n require flavor 1 or 2")
-        if flavor not in (None, 1, 2):
-            raise ValueError(f"flavor must be 1 or 2, got {flavor}")
+    """Check a witness request by the rank and label rules, plus s >= n - p
+    for symm; return the record of its space."""
+    sp = _record(space, n, p, s)
+    _check_rank(sp, n, p)
+    sp.check_label(n, s, flavor)
+    if space == SYMM and s < n - p:
+        raise ValueError(f"need n-p <= s <= n, got s={s}, p={p}, n={n}")
     return sp
 
 
@@ -305,14 +268,9 @@ def witness_ext_bott(
     a second nonzero d would falsify the forced-degree analysis and raises.
     """
     sp = _validate_witness_args(space, n, p, s, flavor)
-    # a symm label at s = n drops the flavor itself
-    target = witness_weight(SimpleLabel(space, n, s, flavor))
-    if space == SKEW:
-        forced = 2 * s + 2 * p - n + 1
-    else:
-        forced = (s + p - n) // 2 if (s + p - n) % 2 == 0 else 0
+    target = sp.witness(n, s, flavor)
     if d_bound is None:
-        d_bound = max(forced, 0) + 2
+        d_bound = max(sp.forced_top(n, p, s), 0) + 2
     tail_len = sp.rows(n) - p - 1
     k = sp.quotient_rank(p)
     top = sp.top_index(n, p)
@@ -321,18 +279,15 @@ def witness_ext_bott(
     target_c, target_size = shifted(target_mu, n), sum(target_mu)
     total = Counter()
     contributing: list[int] = []
-    symm = sp.block == 1
     for d in range(d_bound + 1):
         at_d = Counter()
         # the layer x is y = (d^(p+1), tail) in the record's shape, padded
-        # to n; its first k parts all equal its head, 2d // block
-        twist = sp.twist(2 * d // sp.block, p)
+        # to n: its first k parts are the head of shape((d,)), the rest x2
+        # is shape((d,) + tail) padded to n - k
+        twist = sp.twist(sp.shape((d,))[0], p)
         for tail in enumerate_box(tail_len, d):
-            y = (d,) * (p + 1) + padded(tail, tail_len)
-            x = [2 * a for a in y] if symm else [a for a in y for _ in (0, 1)]
-            at_d.update(_layer_witness_counts(
-                sp, n, k, top, twist, padded(x, n)[k:], target_c, target_size
-            ))
+            x2 = padded(sp.shape((d,) + tail), n - k)
+            at_d.update(_layer_witness_counts(sp, n, k, top, twist, x2, target_c, target_size))
         if at_d:
             contributing.append(d)
             total.update(at_d)

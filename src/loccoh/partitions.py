@@ -127,6 +127,9 @@ def enumerate_box(rows: int, width: int) -> Iterator[Partition]:
     Lexicographically descending, by an iterative lex successor; yields
     comb(rows+width, rows) partitions.
     """
+    if not (type(rows) is int and type(width) is int):
+        for name, value in (("rows", rows), ("width", width)):
+            _check_int(name, value)
     if rows < 0 or width < 0:
         raise ValueError("box dimensions must be non-negative")
     a = [width] * rows
@@ -185,6 +188,9 @@ def enumerate_weights(rank: int, lo: int, hi: int) -> Iterator[Weight]:
     """All dominant weights of the given rank with entries in [lo, hi]:
     lo plus a partition of the rank x (hi-lo) box, zero-padded, in the
     box's (lexicographically descending) order."""
+    if not (type(rank) is int and type(lo) is int and type(hi) is int):
+        for name, value in (("rank", rank), ("lo", lo), ("hi", hi)):
+            _check_int(name, value)
     if rank < 0 or lo > hi:
         return
     for z in enumerate_box(rank, hi - lo):

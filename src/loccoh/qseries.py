@@ -17,6 +17,8 @@ from collections import Counter
 from collections.abc import Iterable
 from itertools import combinations
 
+from .partitions import _check_int
+
 
 class LaurentPoly:
     """An integer Laurent polynomial in q, stored as {exponent: coefficient}.
@@ -213,6 +215,13 @@ class LaurentPoly:
         return out.replace("+ -", "- ")
 
 
+def _check_ints(a: int, b: int, variable_power: int) -> None:
+    """Reject a non-int argument of ``gauss`` or ``gauss_enum`` by name."""
+    if not (type(a) is int and type(b) is int and type(variable_power) is int):
+        for name, value in (("a", a), ("b", b), ("variable_power", variable_power)):
+            _check_int(name, value)
+
+
 def gauss(a: int, b: int, variable_power: int = 1) -> LaurentPoly:
     """The Gauss polynomial (q-binomial coefficient) evaluated at q**v.
 
@@ -230,6 +239,7 @@ def gauss(a: int, b: int, variable_power: int = 1) -> LaurentPoly:
     >>> gauss(4, 2)
     q^4 + q^3 + 2*q^2 + q + 1
     """
+    _check_ints(a, b, variable_power)
     if a < 0:
         raise ValueError("a must be non-negative")
     if variable_power == 0:
@@ -265,6 +275,7 @@ def gauss_enum(a: int, b: int, variable_power: int = 1) -> LaurentPoly:
     >>> gauss_enum(4, 2) == gauss(4, 2)
     True
     """
+    _check_ints(a, b, variable_power)
     if not 0 <= b <= a:
         raise ValueError(f"need 0 <= b <= a, got a={a}, b={b}")
     if variable_power == 0:

@@ -376,6 +376,6 @@ def run_suite(
         # imported here, so a serial run and the CLI never load the pool
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, len(items))) as pool:
             return list(pool.map(_run_one, items))
     return [_run_one(item) for item in items]

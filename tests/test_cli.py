@@ -253,6 +253,39 @@ def test_back_to_back_calls_carry_no_state(capsys):
     assert codes == [0, 0, 2, 2, 0]
 
 
+@pytest.mark.parametrize("suite,threads,workers", [
+    ("ext", 2, 2),
+    ("ext", 6, 4),
+    ("loccoh", 64, 2),
+])
+def test_run_suite_sizes_the_pool_to_the_work(monkeypatch, suite, threads, workers):
+    import concurrent.futures
+
+    seen = []
+
+    class SerialPool:
+        """Records its size and maps in this process: no worker starts."""
+
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    reports = verify_mod.run_suite(suite, max_n=2, bound=4, threads=threads)
+    assert seen == [workers]
+    assert [r.name for r in reports] == [
+        name for name, (_, tag) in verify_mod.CHECKS.items() if tag == suite
+    ]
+
+
 def test_parallel_runner_preserves_order():
     serial = verify_mod.run_suite("loccoh", max_n=4, threads=1)
     parallel = verify_mod.run_suite("loccoh", max_n=4, threads=2)

@@ -219,3 +219,18 @@ def test_enumerate_weights_order_pinned():
                 assert list(enumerate_weights(rank, lo, hi)) == list(
                     weights_reference(rank, lo, hi)
                 )
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: enumerate_box(1, 1.5), "width"),
+    (lambda: enumerate_box(1.0, 2), "rows"),
+    (lambda: enumerate_box(True, 2), "rows"),
+    (lambda: enumerate_weights(2, 0, 1.5), "hi"),
+    (lambda: enumerate_weights(2, 0.0, 1), "lo"),
+    (lambda: enumerate_weights(2, False, 1), "lo"),
+    (lambda: enumerate_weights(2.0, 0, 1), "rank"),
+])
+def test_enumerators_reject_non_int_bounds_by_name(call, name):
+    # next() only: a generator that accepted the value might never end
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
+        next(call())

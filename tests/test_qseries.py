@@ -185,3 +185,17 @@ def test_repr_is_readable():
     assert repr(LaurentPoly({2: 1, 0: -1})) == "q^2 - 1"
     assert repr(LaurentPoly.zero()) == "0"
     assert repr(LaurentPoly({1: 3})) == "3*q"
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: gauss(True, 1), "a"),
+    (lambda: gauss(4.0, 2), "a"),
+    (lambda: gauss(4, 2.0), "b"),
+    (lambda: gauss(4, 2, 1.0), "variable_power"),
+    (lambda: gauss_enum(True, True), "a"),
+    (lambda: gauss_enum(4, 2.0), "b"),
+    (lambda: gauss_enum(4, 2, True), "variable_power"),
+])
+def test_gauss_rejects_non_int_arguments_by_name(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
+        call()
