@@ -9,10 +9,11 @@ Ext(J_p, S) is computed by three independent routes:
 * ``witness_ext_enum``     -- enumeration of the box of partitions that
   parametrizes the nonvanishing layers, reconstructing each layer and its
   associated bundle weight and summing the resulting powers of q;
-* ``witness_ext_bott``     -- the sheaf-cohomology route: on the
-  Grassmannian, invert the Bott kernel at the witness weight against each
-  layer's fixed sub-bundle weight, and read off the one summand of the
-  dual twisted symmetric algebra that can land there.
+* ``witness_ext_bott``     -- the sheaf-cohomology route: one loop over
+  the layers of each top value, which on the Grassmannian inverts the Bott
+  kernel at the witness weight against the layer's fixed sub-bundle weight
+  and reads off the one summand of the dual twisted symmetric algebra that
+  can land there.
 
 ``ext_character`` computes the full graded character of Ext(J_{x,p}, S) for
 a single subquotient, truncated to a finite window of weight sizes.
@@ -38,6 +39,7 @@ from .characters import (
 from .partitions import (
     Partition,
     Weight,
+    _check_int,
     conjugate,
     doubled,
     duplicated,
@@ -89,41 +91,6 @@ def _shifted_heads(
         # z reversed and zero-padded on the left lines up with the offsets
         j = k - len(z)
         yield tuple(offsets[:j] + [o - a for o, a in zip(offsets[j:], reversed(z))])
-
-
-def _layer_witness_counts(
-    sp: Space, n: int, k: int, top: int, twist: int, x2: tuple[int, ...],
-    target_c: tuple[int, ...], target_size: int,
-) -> Counter:
-    """Multiplicity generating function of a rank-n weight inside
-    Ext(J_{x,p}, S), via sheaf cohomology and the Bott algorithm, as
-    exponent -> coefficient.  The layer x is given by the record's twist of
-    its head and its rank n-k sub-bundle weight x2; they are not validated.
-    The target enters as ``target_c``, the shifted entries of the target
-    minus the record's determinant shift, and ``target_size``, the size of
-    that difference; ``top`` is the record's ``top_index``.  All three are
-    fixed for a whole ``witness_ext_bott`` call, which computes them once.
-
-    Output weights shrink by 2 per unit of the symmetric-algebra index, so
-    only summands y of one size can reach the target; and a Bott head
-    reaches it only as the target minus the layer's tail.  So at most one
-    summand contributes, and it is found by inverting the kernel and
-    ``_shifted_heads`` instead of trying every y of that size.
-    """
-    needed = k * twist + sum(x2) - target_size
-    counts = Counter()
-    if needed < 0 or needed % 2:
-        return counts
-    res = bott_preimage(shifted(x2, n - k), target_c)
-    if res is None:
-        return counts
-    degree, head = res
-    # the y of head: z reversed is the offsets of ``_shifted_heads`` minus head
-    offsets = range(twist + n - len(head), twist + n)
-    y = sp.unshape(tuple([o - h for o, h in zip(offsets, reversed(head))]))
-    if y is not None and sum(y) == needed // 2:
-        counts[top - degree] += 1
-    return counts
 
 
 def ext_character(space: str, n: int, x: Partition, p: int, bound: int) -> GradedCharacter:
@@ -263,18 +230,33 @@ def witness_ext_bott(
     whole direct sum J_p.
 
     Sweeps the top value d of the indexing partitions from 0 to d_bound
-    (default: two beyond the value forced by the degree condition), summing
-    the witness extraction over every layer.  Exactly one d may contribute;
-    a second nonzero d would falsify the forced-degree analysis and raises.
+    (default: two beyond the value forced by the degree condition; a bound
+    below it raises, since it would cut off the answer).  Each layer x, given
+    by its twist and its rank n-k sub-bundle weight x2, holds the witness in
+    Ext(J_{x,p}, S) at most once, by sheaf cohomology and the Bott algorithm:
+    output weights shrink by 2 per unit of the symmetric-algebra index, so
+    only summands y of one size can reach the target; and a Bott head
+    reaches it only as the target minus the layer's tail.  So at most one
+    summand contributes, and it is found by inverting the kernel and
+    ``_shifted_heads`` instead of trying every y of that size; it adds
+    q^(top index - Bott degree).  Exactly one d may contribute; a second
+    nonzero d would falsify the forced-degree analysis and raises.
     """
     sp = _validate_witness_args(space, n, p, s, flavor)
-    target = sp.witness(n, s, flavor)
+    forced = max(sp.forced_top(n, p, s), 0)
     if d_bound is None:
-        d_bound = max(sp.forced_top(n, p, s), 0) + 2
+        d_bound = forced + 2
+    else:
+        _check_int("d_bound", d_bound)
+        if d_bound < forced:
+            raise ValueError(f"d_bound={d_bound} is below the forced top value {forced}")
+    target = sp.witness(n, s, flavor)
     tail_len = sp.rows(n) - p - 1
     k = sp.quotient_rank(p)
     top = sp.top_index(n, p)
     shift = sp.det_shift(n)
+    # the target enters the kernel as its shifted entries minus the
+    # determinant shift, and as the size of that difference
     target_mu = tuple(t - shift for t in target)
     target_c, target_size = shifted(target_mu, n), sum(target_mu)
     total = Counter()
@@ -285,9 +267,21 @@ def witness_ext_bott(
         # to n: its first k parts are the head of shape((d,)), the rest x2
         # is shape((d,) + tail) padded to n - k
         twist = sp.twist(sp.shape((d,))[0], p)
+        # the y of a head: z reversed is the offsets of ``_shifted_heads``
+        # minus the head, which has k entries
+        offsets = range(twist + n - k, twist + n)
         for tail in enumerate_box(tail_len, d):
             x2 = padded(sp.shape((d,) + tail), n - k)
-            at_d.update(_layer_witness_counts(sp, n, k, top, twist, x2, target_c, target_size))
+            needed = k * twist + sum(x2) - target_size
+            if needed < 0 or needed % 2:
+                continue
+            res = bott_preimage(shifted(x2, n - k), target_c)
+            if res is None:
+                continue
+            degree, head = res
+            y = sp.unshape(tuple([o - h for o, h in zip(offsets, reversed(head))]))
+            if y is not None and sum(y) == needed // 2:
+                at_d[top - degree] += 1
         if at_d:
             contributing.append(d)
             total.update(at_d)

@@ -17,7 +17,7 @@ from collections import Counter
 from collections.abc import Iterable
 from itertools import combinations
 
-from .partitions import _check_int
+from .partitions import _check_int, _integers
 
 
 class LaurentPoly:
@@ -25,36 +25,44 @@ class LaurentPoly:
 
     Zero coefficients are never stored.  Instances are treated as immutable;
     all arithmetic returns new objects.  Plain ints are accepted on either
-    side of ``+``, ``-``, ``*`` and ``==``.
+    side of ``+``, ``-``, ``*`` and ``==``, and a constant hashes like its
+    int.  The constructor takes int exponents and coefficients only: a float
+    or a bool raises ``TypeError`` instead of being rounded or counted as 1.
     """
 
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: dict[int, int] | Iterable[tuple[int, int]] | int = 0):
-        c: dict[int, int] = {}
         if isinstance(coeffs, int):
-            if coeffs:
-                c[0] = coeffs
-        else:
-            items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-            for e, v in items:
-                v = int(v)
-                if v:
-                    e = int(e)
-                    w = c.get(e, 0) + v
-                    if w:
-                        c[e] = w
-                    else:
-                        del c[e]
+            coeffs = {0: coeffs}
+        c: dict[int, int] = {}
+        for e, v in coeffs.items() if isinstance(coeffs, dict) else coeffs:
+            if not (type(e) is int and type(v) is int):
+                # floats and bools raise; other integer types become ints
+                e, v = _integers((e, v))
+            if v:
+                w = c.get(e, 0) + v
+                if w:
+                    c[e] = w
+                else:
+                    del c[e]
         self._c = c
 
     @classmethod
+    def _wrap(cls, c: dict[int, int]) -> "LaurentPoly":
+        """The polynomial stored as ``c`` itself, unchecked: int exponents to
+        nonzero int coefficients, owned by the result from now on."""
+        out = object.__new__(cls)
+        out._c = c
+        return out
+
+    @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls(0)
+        return cls._wrap({})
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls(1)
+        return cls._wrap({0: 1})
 
     @classmethod
     def q(cls, exponent: int = 1, coefficient: int = 1) -> "LaurentPoly":
@@ -93,16 +101,19 @@ class LaurentPoly:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
-            other = LaurentPoly(other)
+            return self._c == ({0: other} if other else {})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self._c == other._c
 
     def __hash__(self) -> int:
+        # a constant equals its int, so it must hash like one
+        if self._c.keys() <= {0}:
+            return hash(self._c.get(0, 0))
         return hash(frozenset(self._c.items()))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._c.items()})
+        return LaurentPoly._wrap({e: -c for e, c in self._c.items()})
 
     def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
@@ -116,9 +127,7 @@ class LaurentPoly:
                 c[e] = w
             else:
                 c.pop(e, None)
-        out = LaurentPoly.zero()
-        out._c = c
-        return out
+        return LaurentPoly._wrap(c)
 
     __radd__ = __add__
 
@@ -130,35 +139,19 @@ class LaurentPoly:
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
-            return LaurentPoly({e: c * other for e, c in self._c.items()})
+            other = LaurentPoly(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        mono, rest = self._c, other._c
-        if len(rest) == 1:
-            mono, rest = rest, mono
         c: dict[int, int] = {}
-        if len(mono) == 1:
-            # a monomial factor shifts the exponents and scales the
-            # coefficients of the other; nonzero ints never multiply to
-            # zero.  A plain loop: a comprehension's own frame costs more
-            # than it saves on the few-term products closed forms make
-            [(e0, v0)] = mono.items()
-            for e, v in rest.items():
-                c[e + e0] = v * v0
-            out = LaurentPoly.zero()
-            out._c = c
-            return out
-        for e1, v1 in mono.items():
-            for e2, v2 in rest.items():
+        for e1, v1 in self._c.items():
+            for e2, v2 in other._c.items():
                 e = e1 + e2
                 w = c.get(e, 0) + v1 * v2
                 if w:
                     c[e] = w
                 else:
                     del c[e]
-        out = LaurentPoly.zero()
-        out._c = c
-        return out
+        return LaurentPoly._wrap(c)
 
     __rmul__ = __mul__
 
@@ -257,9 +250,7 @@ def gauss(a: int, b: int, variable_power: int = 1) -> LaurentPoly:
         if any(c[-j:]):
             raise ArithmeticError("inexact polynomial division")
         del c[-j:]
-    out = LaurentPoly.zero()
-    out._c = {variable_power * e: v for e, v in enumerate(c) if v}
-    return out
+    return LaurentPoly._wrap({variable_power * e: v for e, v in enumerate(c) if v})
 
 
 def gauss_enum(a: int, b: int, variable_power: int = 1) -> LaurentPoly:

@@ -147,6 +147,31 @@ def test_forced_top_value_unique():
     # widening the sweep window cannot pick up extra contributions
     assert witness_ext_bott(SKEW, 5, 1, 2, d_bound=8) == LaurentPoly.q(5)
     assert witness_ext_bott(SYMM, 3, 1, 2, 2, d_bound=8) == LaurentPoly.q(3)
+    # the forced value itself is the smallest bound that keeps the answer
+    assert witness_ext_bott(SKEW, 5, 1, 2, d_bound=2) == LaurentPoly.q(5)
+
+
+@pytest.mark.parametrize("d_bound", [True, 3.0, 1.0])
+def test_d_bound_must_be_an_int(d_bound):
+    with pytest.raises(ValueError, match="^d_bound must be an int, got "):
+        witness_ext_bott(SKEW, 5, 1, 2, d_bound=d_bound)
+
+
+@pytest.mark.parametrize("d_bound", [1, 0, -3])
+def test_d_bound_below_the_forced_top_value_is_rejected(d_bound):
+    # the answer q^5 sits at the forced top value 2; a smaller bound would
+    # return 0 instead of cutting the answer off in silence
+    with pytest.raises(ValueError, match=f"^d_bound={d_bound} is below the forced top value 2$"):
+        witness_ext_bott(SKEW, 5, 1, 2, d_bound=d_bound)
+
+
+def test_forced_degree_guard_raises_on_a_second_top_value(monkeypatch):
+    # a shape whose first part is always 2 builds the forced layer of
+    # (SKEW, 5, 1, 2), whose tail box is empty, at every d: each d contributes
+    real = extmult.Space.shape
+    monkeypatch.setattr(extmult.Space, "shape", lambda self, z: real(self, (2,) + tuple(z[1:])))
+    with pytest.raises(RuntimeError, match=r"multiple top values contribute \(\[0, 1, 2, 3, 4\]\)"):
+        witness_ext_bott(SKEW, 5, 1, 2)
 
 
 def test_enumeration_oracles_do_not_add_term_by_term(monkeypatch):

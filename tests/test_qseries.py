@@ -17,6 +17,31 @@ def test_constructors_drop_zero_coefficients():
     assert LaurentPoly.q(2, 3) == LaurentPoly({2: 3})
 
 
+@pytest.mark.parametrize("make", [
+    lambda: LaurentPoly({1.5: 2}),
+    lambda: LaurentPoly({1: 2.7}),
+    lambda: LaurentPoly([(1.9, 1)]),
+    lambda: LaurentPoly.q(1.5),
+    lambda: LaurentPoly.q(1, 2.0),
+    lambda: LaurentPoly(True),
+    lambda: LaurentPoly({True: 1}),
+    lambda: LaurentPoly(2.0),
+])
+def test_constructor_rejects_non_int_exponents_and_coefficients(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_constants_hash_like_their_ints():
+    assert len({3, LaurentPoly(3)}) == 1 and len({0, LaurentPoly(0)}) == 1
+    assert len({-2, LaurentPoly({0: -2})}) == 1
+    table = {3: "int", 0: "zero"}
+    table[LaurentPoly(3)] = "poly"
+    table[LaurentPoly.zero()] = "poly zero"
+    assert table == {3: "poly", 0: "poly zero"}
+    assert all(hash(LaurentPoly(c)) == hash(c) for c in range(-5, 6))
+
+
 @given(polys, polys)
 def test_addition_commutes(f, g):
     assert f + g == g + f
