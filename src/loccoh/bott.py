@@ -22,7 +22,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from operator import add, neg, sub
 
-from .partitions import Partition, Weight, _check_int, conjugate, dual, padded, partition, size, weight
+from .partitions import Partition, Weight, _check_ints, conjugate, dual, padded, partition, size, weight
 from .qseries import LaurentPoly
 
 
@@ -122,7 +122,7 @@ def bott(alpha: Weight, beta: Weight, n: int) -> BottCohomology | None:
     """
     alpha = weight(alpha)
     beta = weight(beta)
-    _check_int("n", n)
+    _check_ints(n=n)
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
     k = len(alpha)
@@ -144,6 +144,7 @@ def trivial_isotypic(beta: Partition, k: int, n: int) -> tuple[LaurentPoly, Weig
     alpha = dual(beta')) exactly when beta fits the (n-k) x k box; the
     returned polynomial is q^|beta| then, zero otherwise.
     """
+    _check_ints(k=k, n=n)
     beta = partition(beta)
     if len(beta) > n - k:
         raise ValueError(f"beta={beta} needs at most {n - k} parts")
@@ -161,6 +162,7 @@ def wedge_isotypic(beta: Partition, k: int, n: int, s: int) -> tuple[LaurentPoly
     parts); the contributing alpha is dual(beta') shifted by
     (0^(s-n+k), (-1)^(n-s)).  ``s = n`` recovers ``trivial_isotypic``.
     """
+    _check_ints(k=k, n=n, s=s)
     beta = partition(beta)
     if len(beta) > n - k:
         raise ValueError(f"beta={beta} needs at most {n - k} parts")

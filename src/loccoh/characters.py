@@ -26,7 +26,7 @@ from operator import lt
 from .partitions import (
     Partition,
     Weight,
-    _check_int,
+    _check_ints,
     dominates,
     enumerate_weights,
     padded,
@@ -104,8 +104,8 @@ class Space:
         """The label rule, for checked ints n and s: 0 <= s <= rows(n), and a
         flavor 1 or 2 exactly when ``flavored``, except that symm s = n may
         name one; returns the canonical flavor (None there)."""
-        if flavor is not None and type(flavor) is not int:
-            _check_int("flavor", flavor)
+        if flavor is not None:
+            _check_ints(flavor=flavor)
         if not 0 <= s <= n // self.block:
             raise ValueError(f"{self.name} index s={s} out of range for n={n}")
         if self.block == 2:
@@ -143,16 +143,14 @@ SPACES = {SKEW: Space(SKEW, 2, -1), SYMM: Space(SYMM, 1, 1)}
 def _record(space: str, n: int, p: int = 0, s: int = 0, bound: int = 0) -> Space:
     """The record of a skew/symm space, after checking that the arguments an
     entry point passes are plain ints, n is positive and its truncation
-    bound is non-negative: the boundary check of every skew/symm entry
-    point."""
+    bound is non-negative: the boundary check of every skew/symm entry point
+    and witness term, so the int test runs inline before ``_check_ints``."""
     try:
         sp = SPACES[space]
     except (KeyError, TypeError):
         raise ValueError(f"space must be '{SKEW}' or '{SYMM}', got {space!r}") from None
-    # one test on the hot path; _check_int only names the culprit
     if not (type(n) is int and type(p) is int and type(s) is int and type(bound) is int):
-        for name, value in (("n", n), ("p", p), ("s", s), ("bound", bound)):
-            _check_int(name, value)
+        _check_ints(n=n, p=p, s=s, bound=bound)
     if n < 1:
         raise ValueError("n must be positive")
     if bound < 0:
@@ -205,13 +203,11 @@ def member_skew(lam: Weight, s: int, n: int) -> bool:
     lam_{2i} = lam_{2i+1} for i > s}.  Conditions on out-of-range indices
     are vacuous.
     """
-    _record(SKEW, n, 0, s)
+    _record(SKEW, n, 0, s).check_label(n, s, None)
     lam = weight(lam)
     if len(lam) != n:
         raise ValueError(f"weight {lam} does not have rank {n}")
     m = n // 2
-    if not 0 <= s <= m:
-        raise ValueError(f"index s={s} out of range for n={n}")
     if n % 2 == 0:
         if any(lam[2 * i] != lam[2 * i + 1] for i in range(m)):
             return False
@@ -229,23 +225,19 @@ def member_skew(lam: Weight, s: int, n: int) -> bool:
     return True
 
 
-def member_symm(lam: Weight, s: int, flavor: int, n: int) -> bool:
+def member_symm(lam: Weight, s: int, flavor: int | None, n: int) -> bool:
     """Is lam in the weight set of the symm simple with index s and flavor?
 
     Flavor 1: all entries congruent to s+1 mod 2, and
     lam_s >= s+1 >= lam_{s+2}.  Flavor 2: entries 1..s congruent to s+1,
-    entries s+1..n congruent to s, and lam_s >= s+1, lam_{s+1} <= s.
+    entries s+1..n congruent to s, and lam_s >= s+1, lam_{s+1} <= s.  At
+    s = n the two conditions agree, so the flavor may be 1, 2 or None
+    there, by ``Space.check_label``.
     """
-    _record(SYMM, n, 0, s)
-    if type(flavor) is not int:
-        _check_int("flavor", flavor)
+    flavor = _record(SYMM, n, 0, s).check_label(n, s, flavor)
     lam = weight(lam)
     if len(lam) != n:
         raise ValueError(f"weight {lam} does not have rank {n}")
-    if not 0 <= s <= n:
-        raise ValueError(f"index s={s} out of range for n={n}")
-    if flavor not in (1, 2):
-        raise ValueError(f"flavor must be 1 or 2, got {flavor}")
     if flavor == 1:
         if any((a - s - 1) % 2 for a in lam):
             return False
@@ -269,8 +261,6 @@ def member(label: SimpleLabel, lam: Weight) -> bool:
     """Membership of lam in the weight set of the labelled simple module."""
     if label.space == SKEW:
         return member_skew(lam, label.s, label.n)
-    if label.s == label.n:
-        return member_symm(lam, label.s, 1, label.n)
     return member_symm(lam, label.s, label.flavor, label.n)
 
 
@@ -286,7 +276,7 @@ def enumerate_members(label: SimpleLabel, entry_bound: int) -> list[Weight]:
     The sets are infinite (unbounded below), so an entry bound is required
     to make the listing finite.
     """
-    _check_int("entry_bound", entry_bound)
+    _check_ints(entry_bound=entry_bound)
     if entry_bound < 0:
         raise ValueError(f"entry_bound must be non-negative, got {entry_bound}")
     return [
@@ -299,6 +289,8 @@ def enumerate_members(label: SimpleLabel, entry_bound: int) -> list[Weight]:
 def schur_dimension(lam: Weight, n: int | None = None) -> int:
     """Dimension of the irreducible GL representation with highest weight
     lam, by the Weyl formula prod_{i<j} (lam_i - lam_j + j - i)/(j - i)."""
+    if n is not None:
+        _check_ints(n=n)
     lam = weight(lam, n)
     n = len(lam)
     num = prod(lam[i] - lam[j] + j - i for i in range(n) for j in range(i + 1, n))

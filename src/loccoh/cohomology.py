@@ -23,7 +23,7 @@ from math import comb
 
 from .characters import GENERAL, SKEW, SYMM, SPACES, SimpleLabel, Space, _check_rank
 from .extmult import _CLOSED_FORM_CACHE_SIZE, WITNESS_ROUTES
-from .partitions import _check_int
+from .partitions import _check_ints
 from .qseries import LaurentPoly, gauss
 
 
@@ -32,9 +32,9 @@ def _check_space(space: str, n: int, m: int | None) -> Space | None:
     or None for general matrices."""
     if space not in (GENERAL, SKEW, SYMM):
         raise ValueError(f"unknown space {space!r}")
-    _check_int("n", n)
+    _check_ints(n=n)
     if m is not None:
-        _check_int("m", m)
+        _check_ints(m=m)
     if n < 1:
         raise ValueError("n must be positive")
     sp = None if space == GENERAL else SPACES[space]
@@ -49,7 +49,7 @@ def _check_space(space: str, n: int, m: int | None) -> Space | None:
 def _check_args(space: str, n: int, p: int, m: int | None) -> Space | None:
     """Check a closed-form request; return its skew/symm record, or None."""
     sp = _check_space(space, n, m)
-    _check_int("p", p)
+    _check_ints(p=p)
     _check_rank(sp, n, p)
     return sp
 

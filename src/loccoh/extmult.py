@@ -39,7 +39,7 @@ from .characters import (
 from .partitions import (
     Partition,
     Weight,
-    _check_int,
+    _check_ints,
     conjugate,
     doubled,
     duplicated,
@@ -247,7 +247,7 @@ def witness_ext_bott(
     if d_bound is None:
         d_bound = forced + 2
     else:
-        _check_int("d_bound", d_bound)
+        _check_ints(d_bound=d_bound)
         if d_bound < forced:
             raise ValueError(f"d_bound={d_bound} is below the forced top value {forced}")
     target = sp.witness(n, s, flavor)

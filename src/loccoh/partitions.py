@@ -5,12 +5,16 @@ A partition is a normalized tuple of non-increasing positive integers
 partition).  A dominant weight of rank n is a non-increasing tuple of
 exactly n integers, negative entries allowed.  Everything here is pure and
 immutable.
+
+Every integer argument and tuple entry must be a plain ``int``: anything
+else (a bool, ``4.0``, a numpy int) raises a ``ValueError`` naming it, from
+``_check_ints``, the one home of that rule for the whole package.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from operator import index, lt
+from operator import lt
 
 Partition = tuple[int, ...]
 Weight = tuple[int, ...]
@@ -19,21 +23,20 @@ Weight = tuple[int, ...]
 _EXACT_INT = frozenset((int,))
 
 
+def _check_ints(**named: object) -> None:
+    """The integer-input rule: reject the first value that is not a plain
+    int, naming its argument; nothing is coerced into an int."""
+    for name, value in named.items():
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def _integers(entries: Iterable[int]) -> tuple[int, ...]:
-    """The entries as a tuple of ints; floats, strings and bools raise."""
+    """The entries as a tuple, each a plain int by ``_check_ints``."""
     t = tuple(entries)
-    if _EXACT_INT.issuperset(map(type, t)):
-        return t
-    if bool in map(type, t):
-        raise TypeError(f"bool entry in {t}")
-    return tuple(map(index, t))
-
-
-def _check_int(name: str, value) -> None:
-    """Reject a value that is not a plain int, naming the argument: a bool
-    or a float equal to an int is not coerced into one."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an int, got {value!r}")
+    if not _EXACT_INT.issuperset(map(type, t)):
+        _check_ints(**{f"entry {i}": v for i, v in enumerate(t)})
+    return t
 
 
 def partition(parts: Iterable[int]) -> Partition:
@@ -61,6 +64,7 @@ def weight(entries: Iterable[int], rank: int | None = None) -> Weight:
     if any(map(lt, t, t[1:])):
         raise ValueError(f"entries are not non-increasing: {t}")
     if rank is not None:
+        _check_ints(rank=rank)
         if len(t) > rank:
             raise ValueError(f"weight {t} has more than {rank} entries")
         if len(t) < rank:
@@ -127,9 +131,7 @@ def enumerate_box(rows: int, width: int) -> Iterator[Partition]:
     Lexicographically descending, by an iterative lex successor; yields
     comb(rows+width, rows) partitions.
     """
-    if not (type(rows) is int and type(width) is int):
-        for name, value in (("rows", rows), ("width", width)):
-            _check_int(name, value)
+    _check_ints(rows=rows, width=width)
     if rows < 0 or width < 0:
         raise ValueError("box dimensions must be non-negative")
     a = [width] * rows
@@ -153,6 +155,11 @@ def partitions_of_size(total: int, max_parts: int, max_part: int | None = None) 
 
     Lexicographically descending, by an iterative successor.
     """
+    # inline first: the Ext character oracles call this once per size
+    if not (type(total) is int and type(max_parts) is int):
+        _check_ints(total=total, max_parts=max_parts)
+    if max_part is not None:
+        _check_ints(max_part=max_part)
     if max_parts < 0:
         raise ValueError("max_parts must be non-negative")
     if total < 0:
@@ -188,10 +195,10 @@ def enumerate_weights(rank: int, lo: int, hi: int) -> Iterator[Weight]:
     """All dominant weights of the given rank with entries in [lo, hi]:
     lo plus a partition of the rank x (hi-lo) box, zero-padded, in the
     box's (lexicographically descending) order."""
-    if not (type(rank) is int and type(lo) is int and type(hi) is int):
-        for name, value in (("rank", rank), ("lo", lo), ("hi", hi)):
-            _check_int(name, value)
-    if rank < 0 or lo > hi:
+    _check_ints(rank=rank, lo=lo, hi=hi)
+    if rank < 0:
+        raise ValueError(f"rank must be non-negative, got {rank}")
+    if lo > hi:
         return
     for z in enumerate_box(rank, hi - lo):
         yield tuple([lo + a for a in z] + [lo] * (rank - len(z)))

@@ -17,7 +17,7 @@ from collections import Counter
 from collections.abc import Iterable
 from itertools import combinations
 
-from .partitions import _check_int, _integers
+from .partitions import _check_ints
 
 
 class LaurentPoly:
@@ -33,13 +33,13 @@ class LaurentPoly:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: dict[int, int] | Iterable[tuple[int, int]] | int = 0):
-        if isinstance(coeffs, int):
+        if not isinstance(coeffs, (dict, Iterable)):
+            _check_ints(coeffs=coeffs)
             coeffs = {0: coeffs}
         c: dict[int, int] = {}
         for e, v in coeffs.items() if isinstance(coeffs, dict) else coeffs:
             if not (type(e) is int and type(v) is int):
-                # floats and bools raise; other integer types become ints
-                e, v = _integers((e, v))
+                _check_ints(exponent=e, coefficient=v)
             if v:
                 w = c.get(e, 0) + v
                 if w:
@@ -74,6 +74,7 @@ class LaurentPoly:
         return not self._c
 
     def coefficient(self, exponent: int) -> int:
+        _check_ints(exponent=exponent)
         return self._c.get(exponent, 0)
 
     def pairs(self) -> list[tuple[int, int]]:
@@ -92,6 +93,7 @@ class LaurentPoly:
 
     def substitute_power(self, v: int) -> "LaurentPoly":
         """Substitute q -> q**v (v nonzero, so exponents stay distinct)."""
+        _check_ints(v=v)
         if v == 0:
             raise ValueError("substitution power must be nonzero")
         return LaurentPoly({e * v: c for e, c in self._c.items()})
@@ -208,13 +210,6 @@ class LaurentPoly:
         return out.replace("+ -", "- ")
 
 
-def _check_ints(a: int, b: int, variable_power: int) -> None:
-    """Reject a non-int argument of ``gauss`` or ``gauss_enum`` by name."""
-    if not (type(a) is int and type(b) is int and type(variable_power) is int):
-        for name, value in (("a", a), ("b", b), ("variable_power", variable_power)):
-            _check_int(name, value)
-
-
 def gauss(a: int, b: int, variable_power: int = 1) -> LaurentPoly:
     """The Gauss polynomial (q-binomial coefficient) evaluated at q**v.
 
@@ -232,7 +227,7 @@ def gauss(a: int, b: int, variable_power: int = 1) -> LaurentPoly:
     >>> gauss(4, 2)
     q^4 + q^3 + 2*q^2 + q + 1
     """
-    _check_ints(a, b, variable_power)
+    _check_ints(a=a, b=b, variable_power=variable_power)
     if a < 0:
         raise ValueError("a must be non-negative")
     if variable_power == 0:
@@ -266,7 +261,7 @@ def gauss_enum(a: int, b: int, variable_power: int = 1) -> LaurentPoly:
     >>> gauss_enum(4, 2) == gauss(4, 2)
     True
     """
-    _check_ints(a, b, variable_power)
+    _check_ints(a=a, b=b, variable_power=variable_power)
     if not 0 <= b <= a:
         raise ValueError(f"need 0 <= b <= a, got a={a}, b={b}")
     if variable_power == 0:

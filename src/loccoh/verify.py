@@ -35,7 +35,7 @@ from .cohomology import (
     top_support,
 )
 from .extmult import ext_character, witness_ext_bott, witness_ext_closed, witness_ext_enum
-from .partitions import _check_int, enumerate_box, padded, size
+from .partitions import _check_ints, enumerate_box, padded, size
 from .qseries import LaurentPoly, gauss, gauss_enum
 
 Check = tuple[bool, dict | None, str]
@@ -364,10 +364,11 @@ def run_suite(
     """Run the named suite and return reports in declaration order."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
-    for name, value in (("max_n", max_n), ("bound", bound), ("threads", threads)):
-        if value is None and name != "threads":
-            continue
-        _check_int(name, value)
+    # None picks a check's own range; threads has no such default
+    ranges = {name: v for name, v in (("max_n", max_n), ("bound", bound), ("threads", threads))
+              if v is not None or name == "threads"}
+    _check_ints(**ranges)
+    for name, value in ranges.items():
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
     names = [n for n, (_, tag) in CHECKS.items() if suite in ("all", tag)]

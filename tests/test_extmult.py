@@ -151,12 +151,6 @@ def test_forced_top_value_unique():
     assert witness_ext_bott(SKEW, 5, 1, 2, d_bound=2) == LaurentPoly.q(5)
 
 
-@pytest.mark.parametrize("d_bound", [True, 3.0, 1.0])
-def test_d_bound_must_be_an_int(d_bound):
-    with pytest.raises(ValueError, match="^d_bound must be an int, got "):
-        witness_ext_bott(SKEW, 5, 1, 2, d_bound=d_bound)
-
-
 @pytest.mark.parametrize("d_bound", [1, 0, -3])
 def test_d_bound_below_the_forced_top_value_is_rejected(d_bound):
     # the answer q^5 sits at the forced top value 2; a smaller bound would

@@ -120,11 +120,12 @@ def test_weight_validation_and_padding():
 
 
 def test_non_integer_entries_rejected():
-    # no silent truncation or bool-to-int coercion
-    for bad in ([2.7], [2.7, 1.2], [True, False], [2, True], ["3"]):
-        with pytest.raises(TypeError):
+    # no silent truncation or bool-to-int coercion; the first bad entry is named
+    for bad, entry in (([2.7], "entry 0"), ([2.7, 1.2], "entry 0"), ([True, False], "entry 0"),
+                       ([2, True], "entry 1"), (["3"], "entry 0")):
+        with pytest.raises(ValueError, match=f"^{entry} must be an int, got "):
             partition(bad)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match=f"^{entry} must be an int, got "):
             weight(bad)
     assert partition(iter([2, 2, 0])) == (2, 2)
     assert weight(x for x in (1, -1)) == (1, -1)

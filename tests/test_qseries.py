@@ -28,7 +28,7 @@ def test_constructors_drop_zero_coefficients():
     lambda: LaurentPoly(2.0),
 ])
 def test_constructor_rejects_non_int_exponents_and_coefficients(make):
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="^(coeffs|exponent|coefficient) must be an int, got "):
         make()
 
 
