@@ -27,14 +27,16 @@ from .partitions import _check_ints
 from .qseries import LaurentPoly, gauss
 
 
-def _check_space(space: str, n: int, m: int | None) -> Space | None:
+def _check_space(space: str, n: int, m: int | None, p: int = 0) -> Space | None:
     """Check the space, n and m of a request; return its skew/symm record,
-    or None for general matrices."""
+    or None for general matrices.  One integer guard takes n, m (when
+    given) and p; p defaults to 0, a valid int, for requests without one."""
     if space not in (GENERAL, SKEW, SYMM):
         raise ValueError(f"unknown space {space!r}")
-    _check_ints(n=n)
-    if m is not None:
-        _check_ints(m=m)
+    if m is None:
+        _check_ints(n=n, p=p)
+    else:
+        _check_ints(n=n, m=m, p=p)
     if n < 1:
         raise ValueError("n must be positive")
     sp = None if space == GENERAL else SPACES[space]
@@ -48,8 +50,7 @@ def _check_space(space: str, n: int, m: int | None) -> Space | None:
 
 def _check_args(space: str, n: int, p: int, m: int | None) -> Space | None:
     """Check a closed-form request; return its skew/symm record, or None."""
-    sp = _check_space(space, n, m)
-    _check_ints(p=p)
+    sp = _check_space(space, n, m, p)
     _check_rank(sp, n, p)
     return sp
 

@@ -20,14 +20,26 @@ from itertools import combinations
 from .partitions import _check_ints
 
 
+def _constant(other: object) -> "LaurentPoly | None":
+    """A non-polynomial operand of ``+``, ``-`` or ``*`` as a constant
+    polynomial when it is a plain int, else None; a bool raises."""
+    if type(other) is int:
+        return LaurentPoly._wrap({0: other} if other else {})
+    if isinstance(other, int):
+        _check_ints(operand=other)
+    return None
+
+
 class LaurentPoly:
     """An integer Laurent polynomial in q, stored as {exponent: coefficient}.
 
     Zero coefficients are never stored.  Instances are treated as immutable;
     all arithmetic returns new objects.  Plain ints are accepted on either
     side of ``+``, ``-``, ``*`` and ``==``, and a constant hashes like its
-    int.  The constructor takes int exponents and coefficients only: a float
-    or a bool raises ``TypeError`` instead of being rounded or counted as 1.
+    int; a bool operand to ``+``, ``-`` or ``*`` raises ``ValueError``
+    naming the operand, and a bool is never ``==`` to a polynomial.  The
+    constructor takes int exponents and coefficients only: a float or a
+    bool raises ``ValueError`` instead of being rounded or counted as 1.
     """
 
     __slots__ = ("_c",)
@@ -102,7 +114,7 @@ class LaurentPoly:
         return bool(self._c)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
+        if type(other) is int:
             return self._c == ({0: other} if other else {})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -118,10 +130,10 @@ class LaurentPoly:
         return LaurentPoly._wrap({e: -c for e, c in self._c.items()})
 
     def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        if isinstance(other, int):
-            other = LaurentPoly(other)
         if not isinstance(other, LaurentPoly):
-            return NotImplemented
+            other = _constant(other)
+            if other is None:
+                return NotImplemented
         c = dict(self._c)
         for e, v in other._c.items():
             w = c.get(e, 0) + v
@@ -134,16 +146,21 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        return self + (-other if isinstance(other, LaurentPoly) else -LaurentPoly(other))
+        if not isinstance(other, LaurentPoly):
+            other = _constant(other)
+            if other is None:
+                return NotImplemented
+        return self + -other
 
     def __rsub__(self, other: int) -> "LaurentPoly":
-        return LaurentPoly(other) - self
+        other = _constant(other)
+        return NotImplemented if other is None else other + -self
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        if isinstance(other, int):
-            other = LaurentPoly(other)
         if not isinstance(other, LaurentPoly):
-            return NotImplemented
+            other = _constant(other)
+            if other is None:
+                return NotImplemented
         c: dict[int, int] = {}
         for e1, v1 in self._c.items():
             for e2, v2 in other._c.items():

@@ -12,10 +12,9 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
-from .bott import bott_kernel, bott_preimage, shifted, trivial_isotypic, unshifted, wedge_isotypic
+from .bott import bott_preimage, bott_span, shifted, trivial_isotypic, unshifted, wedge_isotypic
 from .characters import (
     SKEW,
     SYMM,
@@ -89,6 +88,12 @@ def check_bott_predicate_agreement(max_n: int | None = None, bound: int | None =
     head disjoint from its shifted tail, and ``bott_preimage`` of each
     applicable target must name the head the kernel sent there, with its
     degree, or no head inside the span when the kernel sent none.
+
+    The heads of one beta are the k-subsets of the span, and ``bott_span``
+    yields the kernel's outcome for each: every head splits into a prefix
+    and a suffix of its last three entries, the kernel runs once per
+    prefix and once per suffix, and each head's outcome is joined from
+    its two pieces' outcomes.
     """
     top = 7 if max_n is None else max_n
     checked = 0
@@ -97,7 +102,8 @@ def check_bott_predicate_agreement(max_n: int | None = None, bound: int | None =
             r = n - k
             # shifted wedge weights (0^s, (-1)^(n-s)); s = n is the trivial one
             targets = {shifted((0,) * s + (-1,) * (n - s), n): s for s in range(r, n + 1)}
-            # shifted alpha entries; combinations yields the heads of
+            # shifted alpha entries; the k-subsets of the span, in
+            # combinations order, are the heads of
             # enumerate_weights(k, -n-2, n+2) in the same order
             span = range(2 * n + 1, -k - 3, -1)
             # every tail lies inside the span, so n+2k+4 entries stay free
@@ -114,10 +120,8 @@ def check_bott_predicate_agreement(max_n: int | None = None, bound: int | None =
                 tail = shifted(bp, r)
                 hits = {}
                 nonzero = 0
-                # checked counts every (alpha, beta) pair the kernel sees
-                for checked, res in enumerate(
-                    bott_kernel(tail, combinations(span, k)), checked + 1
-                ):
+                # checked counts every (alpha, beta) pair, one outcome each
+                for checked, res in enumerate(bott_span(tail, span, k), checked + 1):
                     if res is not None:
                         nonzero += 1
                         s = targets.get(res[1])

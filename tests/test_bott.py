@@ -1,5 +1,6 @@
 """The Bott algorithm and its closed-form isotypic predicates."""
 
+import importlib
 import random
 from itertools import combinations
 
@@ -11,6 +12,7 @@ from loccoh.bott import (
     bott,
     bott_kernel,
     bott_preimage,
+    bott_span,
     shifted,
     trivial_isotypic,
     unshifted,
@@ -18,6 +20,9 @@ from loccoh.bott import (
 )
 from loccoh.partitions import enumerate_box, enumerate_weights, size
 from loccoh.qseries import LaurentPoly
+
+# the package exports a function named bott, which hides the module
+bott_module = importlib.import_module("loccoh.bott")
 
 
 def test_symmetric_square_of_subbundle_on_p2():
@@ -198,17 +203,47 @@ def test_sweep_reads_the_predicted_degree(monkeypatch):
 
 def test_sweep_counts_nonzero_outcomes(monkeypatch):
     # a kernel that never reports a repeated entry hits no wrong target, so
-    # only the count of nonzero outcomes per beta can catch it
+    # only the count of nonzero outcomes per beta can catch it; the sweep
+    # reaches the kernel through bott_span, so the module's kernel is patched
     def never_none(tail, heads):
         for head in heads:
             yield 0, tuple(sorted(head + tail, reverse=True))
 
-    monkeypatch.setattr(verify_mod, "bott_kernel", never_none)
+    monkeypatch.setattr(bott_module, "bott_kernel", never_none)
     passed, counterexample, params = verify_mod.check_bott_predicate_agreement(max_n=3)
     assert not passed and params == "n<=3"
     # n=2, k=1, beta=(3,) comes first: all 9 heads in [-3, 5] count, 8 miss
     # the tail (3,)
     assert counterexample == {"n": 2, "k": 1, "beta": [3], "nonzero": 9, "expected_nonzero": 8}
+
+
+def test_span_yields_the_kernel_outcomes():
+    # bott_span against the kernel on every k-subset of contiguous and
+    # non-contiguous spans of length 0-12: k <= 3 runs the kernel directly,
+    # larger k splits each head into a prefix and a three-entry suffix, and
+    # k = len(span) + 1 has no heads
+    rng = random.Random(1718)
+    spans = [range(lo + length - 1, lo - 1, -1) for length, lo in zip(range(13), range(-6, 7))]
+    spans += [tuple(sorted(rng.sample(range(-9, 21), length), reverse=True))
+              for length in range(13)]
+    for span in spans:
+        entries = list(span)
+        gaps = [v for v in range(-12, 24) if v not in entries]
+        tails = [
+            (),
+            # inside the span, outside it, and both
+            tuple(sorted(rng.sample(entries, min(3, len(entries))), reverse=True)),
+            tuple(sorted(rng.sample(gaps, 4), reverse=True)),
+            tuple(sorted(rng.sample(entries[:2] + gaps, 5), reverse=True)),
+        ]
+        # an entry equal to each possible last prefix entry h, which
+        # a = #{tail entries >= h} counts, beside one entry off the span
+        tails += [tuple(sorted({h, rng.choice(gaps)}, reverse=True)) for h in entries[:-3]]
+        for tail in tails:
+            for k in range(len(span) + 2):
+                assert list(bott_span(tail, span, k)) == list(
+                    bott_kernel(tail, combinations(span, k))
+                ), (tail, span, k)
 
 
 def test_preimage_inverts_the_kernel():

@@ -32,6 +32,32 @@ def test_constructor_rejects_non_int_exponents_and_coefficients(make):
         make()
 
 
+def test_bool_is_never_equal_to_a_polynomial():
+    for c in (0, 1):
+        assert (LaurentPoly(c) == bool(c)) is False and (bool(c) == LaurentPoly(c)) is False
+        assert LaurentPoly(c) != bool(c) and LaurentPoly(c) == c
+
+
+@pytest.mark.parametrize("compute", [
+    lambda: LaurentPoly.q(1) + True,
+    lambda: True + LaurentPoly.q(1),
+    lambda: LaurentPoly.q(1) - True,
+    lambda: True - LaurentPoly.q(1),
+    lambda: LaurentPoly.q(1) * False,
+    lambda: False * LaurentPoly.q(1),
+])
+def test_bool_operand_rejected_by_name(compute):
+    with pytest.raises(ValueError, match="^operand must be an int, got (True|False)$"):
+        compute()
+
+
+def test_non_int_operand_is_not_supported():
+    for compute in (lambda: LaurentPoly.q(1) + 2.0, lambda: 2.0 - LaurentPoly.q(1),
+                    lambda: LaurentPoly.q(1) * 2.0):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            compute()
+
+
 def test_constants_hash_like_their_ints():
     assert len({3, LaurentPoly(3)}) == 1 and len({0, LaurentPoly(0)}) == 1
     assert len({-2, LaurentPoly({0: -2})}) == 1
