@@ -6,13 +6,14 @@ quotients of an n-dimensional space: at most one cohomological degree is
 nonzero, and both the degree and the resulting irreducible are produced.
 It validates its input and runs ``bott_kernel``, the one implementation of
 the algorithm, which works on shifted entries gamma + delta and batches
-many alphas against one beta.  ``bott_span`` yields the kernel's outcomes
-for every k-subset of a span while running the kernel once per prefix and
-once per suffix: a head splits into its prefix and its last three entries,
-and its outcome is the two pieces' outcomes joined (see there for the
-rule).  ``bott_preimage`` inverts the kernel: given the beta block and a
-sorted outcome, it names the one alpha block that reaches it, with its
-degree, without trying any other.
+many alphas against one beta.  ``bott_span_summary`` sums up the kernel's
+outcomes over every k-subset of a span (the number of heads, the degree
+tally of the nonzero outcomes and the targets reached) from kernel runs on
+prefixes and on suffixes only: a head splits into a prefix and its last
+three entries, and its outcome is the two pieces' outcomes joined (see
+there for the rule).  ``bott_preimage`` inverts the kernel: given the beta
+block and a sorted outcome, it names the one alpha block that reaches it,
+with its degree, without trying any other.
 
 ``trivial_isotypic`` and ``wedge_isotypic`` are the closed-form answers for
 when that cohomology contributes a trivial summand, respectively a
@@ -22,11 +23,12 @@ wedge-power summand; the acceptance sweep checks them against the kernel.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable, Iterator, Sequence
+from collections import Counter
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import chain, combinations, repeat
+from itertools import combinations, repeat
 from math import comb
-from operator import add, getitem, neg, sub
+from operator import add, itemgetter, neg, sub
 
 from .partitions import Partition, Weight, _check_ints, conjugate, dual, padded, partition, size, weight
 from .qseries import LaurentPoly
@@ -88,70 +90,83 @@ def bott_kernel(
             yield None
 
 
-# Heads split into a prefix and a suffix of this many entries.  Draining
-# bott_span over the 848 (tail, span, k) of the verify sweep took
-# 3.7 / 1.2 / 0.9 / 1.4 / 2.0 s for suffix lengths 1-5, against 2.5 s for
-# the kernel on every head (2-vCPU host): a shorter suffix leaves more
-# prefixes, each one kernel call, and a longer one more suffixes per beta.
+# Heads split into a prefix and a suffix of up to this many entries.  The
+# sweep of ``verify.check_bott_predicate_agreement`` took 1.11 / 0.43 /
+# 0.56 / 1.36 s for suffix lengths 1-4 (2-vCPU host): a shorter suffix
+# leaves more prefixes, a longer one more suffixes per beta, and each is
+# one kernel outcome.  Length 3 keeps whole heads of up to three entries,
+# whose degrees reach 12, in front of the kernel; with length 2 a kernel
+# that caps the degree at 11 passed the sweep.
 _SUFFIX = 3
 
 
-def bott_span(
-    tail: tuple[int, ...], span: Sequence[int], k: int
-) -> Iterator[tuple[int, tuple[int, ...]] | None]:
-    """``bott_kernel(tail, combinations(span, k))``, outcome for outcome and
-    in order, with the kernel run once per prefix and once per suffix.
+def bott_span_summary(
+    tail: tuple[int, ...], span: Sequence[int], k: int, targets: Collection[tuple[int, ...]]
+) -> tuple[int, Counter[int], dict[tuple[int, ...], tuple[int, tuple[int, ...]]]]:
+    """What ``bott_kernel(tail, combinations(span, k))`` yields, summed up
+    with no step per head: the number of heads, the tally degree -> count
+    of the nonzero outcomes, and ``{target: (degree, head)}`` for each of
+    ``targets`` (shifted weights) that some head reaches, in
+    ``bott_preimage``'s form.
 
-    ``span`` is strictly decreasing, so every head is; k <= ``_SUFFIX``
-    runs the kernel on the heads directly.  A longer head splits into a
-    prefix P and a suffix S of its last ``_SUFFIX`` entries, all below
-    h = P[-1].  With a = #{tail entries >= h}, the head meets the tail iff
-    P meets ``tail[:a]`` or S meets the tail; otherwise its sorted entries
-    are the kernel's c for P against ``tail[:a]`` followed by the kernel's
-    c for S against the tail without its first a entries (those are
-    ``tail[:a]``), and its degree is the sum of the two kernel degrees, S's
-    taken against the whole tail.  So the kernel runs once per suffix
-    against the whole tail, and once per prefix against its ``tail[:a]``;
-    each prefix's block of heads is a lazy ``map`` over slices of the
-    suffix outcomes, as the suffixes below h are the last
-    comb(len(span)-1-i, ``_SUFFIX``), i the index of h in the span.
+    ``span`` is strictly decreasing, so every head is.  A head splits into
+    a prefix P and a suffix S of its last m = min(k, ``_SUFFIX``) entries,
+    all below h = P[-1] (P is empty when k = m).  With a = #{tail entries
+    >= h}, the head meets the tail iff P or S does; otherwise its degree is
+    the sum of the kernel's degrees for P and for S, and its c is the
+    first k-m+a entries of the kernel's c for P followed by the kernel's c
+    for S without its first a entries (those are ``tail[:a]``).  So the
+    kernel runs once on the suffixes and once on the prefixes ending in
+    each h, all against the whole tail.  The suffixes below h are the last
+    comb(len(span)-1-i, m), i the index of h in the span.  The prefixes
+    ending in h cover that block: their degree tally convolved with the
+    block's, and a target when one free prefix's c begins it and the rest
+    is a free suffix's c without its first a entries.
 
-    >>> list(bott_span((3,), range(5, 0, -1), 4))
-    [None, None, (2, (5, 4, 3, 2, 1)), None, None]
+    >>> bott_span_summary((3,), range(5, 0, -1), 4, [(5, 4, 3, 2, 1), (5, 4, 3, 2, 0)])
+    (5, Counter({2: 1}), {(5, 4, 3, 2, 1): (2, (5, 4, 2, 1))})
     >>> list(bott_kernel((3,), combinations(range(5, 0, -1), 4)))
     [None, None, (2, (5, 4, 3, 2, 1)), None, None]
     """
-    if k <= _SUFFIX:
-        return bott_kernel(tail, combinations(span, k))
-    return chain.from_iterable(_span_blocks(tail, span, k))
-
-
-def _span_blocks(
-    tail: tuple[int, ...], span: Sequence[int], k: int
-) -> Iterator[Iterator[tuple[int, tuple[int, ...]] | None]]:
-    """The blocks of heads that share a prefix, in ``bott_span``'s order."""
-    sufs = list(bott_kernel(tail, combinations(span, _SUFFIX)))
+    m = min(k, _SUFFIX)
+    sufs = list(bott_kernel(tail, combinations(span, m)))
     total = len(sufs)
-    free = [res is not None for res in sufs]
-    degrees = [res[0] if res else 0 for res in sufs]
-    # lows[a]: each suffix's c without the a tail entries above it
-    lows = [[res[1][a:] if res else () for res in sufs] for a in range(len(tail) + 1)]
+    # a free suffix's c against the whole tail -> its degree
+    free_sufs = dict(map(reversed, filter(None, sufs)))
     last = len(span) - 1
-    # h -> (first suffix below h, #{tail entries >= h})
-    cut = {h: (total - comb(last - i, _SUFFIX), bisect_right(tail, -h, key=neg))
-           for i, h in enumerate(span)}
-    nones = repeat(None)
-    for prefix in combinations(span[:len(span) - _SUFFIX], k - _SUFFIX):
-        start, a = cut[prefix[-1]]
-        res = next(bott_kernel(tail[:a], (prefix,)))
-        if res is None:
-            yield repeat(None, total - start)
-        else:
-            # (None, outcome)[free]: None where the suffix meets the tail
-            yield map(getitem,
-                      zip(nones, zip(map(add, repeat(res[0]), degrees[start:]),
-                                     map(add, repeat(res[1]), lows[a][start:]))),
-                      free[start:])
+    # first suffix below span[i] -> degree tally of the free suffixes from it on
+    from_start = {}
+    below: Counter[int] = Counter()
+    end = total
+    for i in range(last, -2, -1):
+        start = total - comb(last - i, m)
+        below.update(map(itemgetter(0), filter(None, sufs[start:end])))
+        from_start[start] = below.copy()
+        end = start
+    # (prefix outcomes, first suffix below them, #{tail entries >= their
+    # last entry}); the empty prefix's outcome is (0, tail)
+    groups = [([(0, tail)], 0, 0)] if k == m else (
+        (bott_kernel(tail, map(add, combinations(span[:i], k - m - 1), repeat((span[i],)))),
+         total - comb(last - i, m), bisect_right(tail, -span[i], key=neg))
+        for i in range(k - m - 1, len(span) - m))
+    in_tail = frozenset(tail).__contains__
+    covered = 0
+    tally: Counter[int] = Counter()
+    reached = {}
+    for outcomes, start, a in groups:
+        outs = list(outcomes)
+        covered += len(outs) * (total - start)
+        # a free prefix's c against the whole tail -> its degree
+        free_prefixes = dict(map(reversed, filter(None, outs)))
+        for pd, count in Counter(free_prefixes.values()).items():
+            for sd, free in from_start[start].items():
+                tally[pd + sd] += count * free
+        for t in targets:
+            pd = free_prefixes.get(t[:k - m + a] + tail[a:])
+            sd = free_sufs.get(tail[:a] + t[k - m + a:])
+            if pd is not None and sd is not None:
+                reached[t] = pd + sd, tuple(v for v in t if not in_tail(v))
+    return covered, tally, reached
 
 
 def bott_preimage(

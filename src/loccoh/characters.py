@@ -104,7 +104,7 @@ class Space:
         """The label rule, for checked ints n and s: 0 <= s <= rows(n), and a
         flavor 1 or 2 exactly when ``flavored``, except that symm s = n may
         name one; returns the canonical flavor (None there)."""
-        if flavor is not None:
+        if flavor is not None and type(flavor) is not int:
             _check_ints(flavor=flavor)
         if not 0 <= s <= n // self.block:
             raise ValueError(f"{self.name} index s={s} out of range for n={n}")

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import time
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import comb
 
-from .bott import bott_preimage, bott_span, shifted, trivial_isotypic, unshifted, wedge_isotypic
+from .bott import bott_preimage, bott_span_summary, shifted, trivial_isotypic, unshifted, wedge_isotypic
 from .characters import (
     SKEW,
     SYMM,
@@ -75,6 +76,25 @@ def _alpha_and_degree(res: tuple | None, tail: tuple[int, ...], k: int) -> dict 
     return {"alpha": list(unshifted(res[1] + tail)[:k]), "degree": res[0]}
 
 
+def _degree_tally(tail: tuple[int, ...], span: Sequence[int], k: int) -> Counter:
+    """Degree -> number of k-subsets of ``span`` disjoint from ``tail`` whose
+    entries have that many tail entries above them in all, without the
+    Bott kernel: the x^k coefficient of prod_j (1 + x q^j)^(g_j), where g_j
+    span entries off the tail have exactly j tail entries above them."""
+    runs = Counter(sum(t > v for t in tail) for v in span if v not in tail)
+    # rows[i]: the x^i coefficient of the product over the runs so far
+    rows = [Counter({0: 1})]
+    for j, g in runs.items():
+        new = [Counter() for _ in range(min(len(rows) + g, k + 1))]
+        for i, row in enumerate(rows):
+            for taken in range(min(g, k - i) + 1):
+                ways = comb(g, taken)
+                for degree, count in row.items():
+                    new[i + taken][degree + j * taken] += ways * count
+        rows = new
+    return rows[k] if k < len(rows) else Counter()
+
+
 def check_bott_predicate_agreement(max_n: int | None = None, bound: int | None = None) -> Check:
     """Sweep the Bott kernel against the closed-form isotypic predicates.
 
@@ -89,11 +109,16 @@ def check_bott_predicate_agreement(max_n: int | None = None, bound: int | None =
     applicable target must name the head the kernel sent there, with its
     degree, or no head inside the span when the kernel sent none.
 
-    The heads of one beta are the k-subsets of the span, and ``bott_span``
-    yields the kernel's outcome for each: every head splits into a prefix
-    and a suffix of its last three entries, the kernel runs once per
-    prefix and once per suffix, and each head's outcome is joined from
-    its two pieces' outcomes.
+    The degree tally of each beta's nonzero outcomes must equal
+    ``_degree_tally``, a product of binomials that never runs the kernel,
+    and a counterexample names the first degree whose count differs.
+
+    The heads of one beta are the k-subsets of the span, and
+    ``bott_span_summary`` covers them from kernel runs on prefixes and on
+    three-entry suffixes: it returns the number of heads, their degree
+    tally and the targets some head reaches, with that head's degree, and
+    takes no step per head.  The pair count in the params sums the heads
+    each summary covered.
     """
     top = 7 if max_n is None else max_n
     checked = 0
@@ -118,20 +143,23 @@ def check_bott_predicate_agreement(max_n: int | None = None, bound: int | None =
                     if alpha is not None:
                         predicted[shifted(alpha, n)] = (s, poly)
                 tail = shifted(bp, r)
-                hits = {}
-                nonzero = 0
+                covered, tally, reached = bott_span_summary(
+                    tail, span, k, [t for t, s in targets.items() if s in applicable])
                 # checked counts every (alpha, beta) pair, one outcome each
-                for checked, res in enumerate(bott_span(tail, span, k), checked + 1):
-                    if res is not None:
-                        nonzero += 1
-                        s = targets.get(res[1])
-                        if s in applicable:
-                            head = tuple(c for c in res[1] if c not in tail)
-                            hits[head] = (s, res[0])
+                checked += covered
+                nonzero = tally.total()
                 if nonzero != free_heads:
                     return False, {"n": n, "k": k, "beta": list(beta), "nonzero": nonzero,
                                    "expected_nonzero": free_heads}, f"n<={top}"
-                hit_by_s = {s: (degree, head) for head, (s, degree) in hits.items()}
+                expected = _degree_tally(tail, span, k)
+                if tally != expected:
+                    degree = min(d for d in tally.keys() | expected.keys()
+                                 if tally[d] != expected[d])
+                    return False, {"n": n, "k": k, "beta": list(beta), "degree": degree,
+                                   "count": tally[degree], "expected_count": expected[degree]
+                                   }, f"n<={top}"
+                hit_by_s = {targets[t]: hit for t, hit in reached.items()}
+                hits = {head: (s, degree) for s, (degree, head) in hit_by_s.items()}
                 for target, s in targets.items():
                     if s not in applicable:
                         continue

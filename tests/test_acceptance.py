@@ -21,7 +21,7 @@ from loccoh.verify import (
 )
 
 
-def _criterion(number: int, name: str, fn, budget: float):
+def _criterion(number: int, name: str, fn, budget: float) -> str:
     t0 = time.perf_counter()
     passed, counterexample, params = fn()
     elapsed = time.perf_counter() - t0
@@ -29,6 +29,7 @@ def _criterion(number: int, name: str, fn, budget: float):
     print(f"criterion {number} ({name}): {status} [{params}] in {elapsed:.2f}s")
     assert passed, f"criterion {number} failed: {counterexample}"
     assert elapsed < budget, f"criterion {number} exceeded its {budget}s budget ({elapsed:.2f}s)"
+    return params
 
 
 def test_criterion_1_gauss_identity_suite():
@@ -39,8 +40,11 @@ def test_criterion_1_gauss_identity_suite():
 
 def test_criterion_2_bott_agreement():
     # algorithm-vs-predicate sweep, k,n <= 7, beta in P(n-k,k+2), alpha
-    # entries in [-n-2, n+2]; exact zero/nonzero, degree, weight; < 1 min
-    _criterion(2, "bott agreement", check_bott_predicate_agreement, 60.0)
+    # entries in [-n-2, n+2]; exact zero/nonzero, degree, weight; < 1 min.
+    # The pair count sums the heads the sweep covered, so a dropped block of
+    # heads shows here
+    params = _criterion(2, "bott agreement", check_bott_predicate_agreement, 60.0)
+    assert "(4209037 pairs)" in params
 
 
 def test_criterion_3_example_reproduction():

@@ -2,6 +2,7 @@
 
 import importlib
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -12,7 +13,7 @@ from loccoh.bott import (
     bott,
     bott_kernel,
     bott_preimage,
-    bott_span,
+    bott_span_summary,
     shifted,
     trivial_isotypic,
     unshifted,
@@ -204,7 +205,8 @@ def test_sweep_reads_the_predicted_degree(monkeypatch):
 def test_sweep_counts_nonzero_outcomes(monkeypatch):
     # a kernel that never reports a repeated entry hits no wrong target, so
     # only the count of nonzero outcomes per beta can catch it; the sweep
-    # reaches the kernel through bott_span, so the module's kernel is patched
+    # reaches the kernel through bott_span_summary, so the module's kernel
+    # is patched
     def never_none(tail, heads):
         for head in heads:
             yield 0, tuple(sorted(head + tail, reverse=True))
@@ -217,12 +219,40 @@ def test_sweep_counts_nonzero_outcomes(monkeypatch):
     assert counterexample == {"n": 2, "k": 1, "beta": [3], "nonzero": 9, "expected_nonzero": 8}
 
 
-def test_span_yields_the_kernel_outcomes():
-    # bott_span against the kernel on every k-subset of contiguous and
-    # non-contiguous spans of length 0-12: k <= 3 runs the kernel directly,
-    # larger k splits each head into a prefix and a three-entry suffix, and
-    # k = len(span) + 1 has no heads
+def test_sweep_checks_every_outcome_degree(monkeypatch):
+    # a kernel that adds 1 to the degree of each head whose first entry lies
+    # more than 3 above the tail's first entry keeps every nonzero count and
+    # reaches every target in the right degree at n <= 3, so only the
+    # per-beta degree tally can catch it
+    def shifted_degree(tail, heads):
+        isdisjoint = frozenset(tail).isdisjoint
+        above = bott_module._CountAbove(tail).__getitem__
+        for head in heads:
+            if isdisjoint(head):
+                yield (sum(map(above, head)) + (bool(tail) and head[0] > tail[0] + 3),
+                       tuple(sorted(head + tail, reverse=True)))
+            else:
+                yield None
+
+    monkeypatch.setattr(bott_module, "bott_kernel", shifted_degree)
+    passed, counterexample, params = verify_mod.check_bott_predicate_agreement(max_n=3)
+    assert not passed and params == "n<=3"
+    # n=2, k=1, beta=(1,) comes first: of the heads in [-3, 5] off the tail
+    # (1,), the four above it have degree 0, but (5,) now reads 1
+    assert counterexample == {
+        "n": 2, "k": 1, "beta": [1], "degree": 0, "count": 3, "expected_count": 4,
+    }
+
+
+def test_span_summary_matches_the_drained_kernel():
+    # bott_span_summary against the kernel drained over every k-subset of
+    # contiguous and non-contiguous spans of length 0-12: k <= 3 runs the
+    # kernel on whole heads, larger k splits each head into a prefix and a
+    # three-entry suffix, and k = len(span) + 1 has no heads.  The targets
+    # are outcomes of up to three drawn heads, so hits occur, and one that
+    # no head reaches; the verify sweep's closed-form degree tally agrees
     rng = random.Random(1718)
+    pick = random.Random(19)
     spans = [range(lo + length - 1, lo - 1, -1) for length, lo in zip(range(13), range(-6, 7))]
     spans += [tuple(sorted(rng.sample(range(-9, 21), length), reverse=True))
               for length in range(13)]
@@ -241,9 +271,17 @@ def test_span_yields_the_kernel_outcomes():
         tails += [tuple(sorted({h, rng.choice(gaps)}, reverse=True)) for h in entries[:-3]]
         for tail in tails:
             for k in range(len(span) + 2):
-                assert list(bott_span(tail, span, k)) == list(
-                    bott_kernel(tail, combinations(span, k))
-                ), (tail, span, k)
+                heads = list(combinations(span, k))
+                free = [(head, res) for head, res in zip(heads, bott_kernel(tail, heads))
+                        if res is not None]
+                targets = [res[1] for _, res in pick.sample(free, min(3, len(free)))]
+                # entries off every span and tail
+                targets.append(tuple(range(99, 99 - k - len(tail), -1)) or (99,))
+                tally = Counter(res[0] for _, res in free)
+                reached = {res[1]: (res[0], head) for head, res in free if res[1] in targets}
+                assert bott_span_summary(tail, span, k, targets) == (
+                    len(heads), tally, reached), (tail, span, k)
+                assert verify_mod._degree_tally(tail, span, k) == tally, (tail, span, k)
 
 
 def test_preimage_inverts_the_kernel():
