@@ -17,6 +17,7 @@ import sys
 from .bott import bott
 from .characters import (
     SKEW,
+    SPACES,
     SYMM,
     SimpleLabel,
     enumerate_members,
@@ -54,7 +55,7 @@ def _non_negative(text: str) -> int:
 def _check_flavor(args) -> None:
     """Reject a ``--j`` that names no flavor: skew labels and symm s = n
     carry none, and it must not be dropped in silence."""
-    if args.j is not None and (args.space == SKEW or args.s == args.n):
+    if args.j is not None and not SPACES[args.space].flavored(args.n, args.s):
         which = "skew labels carry" if args.space == SKEW else f"the label s = n = {args.n} carries"
         raise ValueError(f"--j applies only to symm with s < n; {which} no flavor")
 

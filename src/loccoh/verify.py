@@ -2,22 +2,26 @@
 
 Each check sweeps a stated parameter range and either passes or produces a
 machine-readable counterexample.  The ranges default to the acceptance
-ranges and can be scaled with ``max_n`` / ``bound``.  With ``threads`` above
-1 the runner runs independent checks in that many worker processes; output
-order is always declaration order.
+ranges and can be scaled with ``max_n`` / ``bound``; the ranks and labels in
+them come from the ``Space`` record and ``all_labels``, through ``_ranks``
+and ``_witness_cases``, so a check has one loop body for all its spaces.
+With ``threads`` above 1 the runner runs independent checks in that many
+worker processes; output order is always declaration order.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from math import comb
 
-from .bott import bott_preimage, bott_span_summary, shifted, trivial_isotypic, unshifted, wedge_isotypic
+from .bott import (BottCohomology, bott, bott_preimage, bott_span_summary, shifted,
+                   trivial_isotypic, unshifted, wedge_isotypic)
 from .characters import (
     SKEW,
+    SPACES,
     SYMM,
     all_labels,
     filtration_check,
@@ -48,6 +52,7 @@ def check_gauss_identities(max_n: int | None = None, bound: int | None = None) -
     powers = (1, 2, 4, -4)
     for a in range(top + 1):
         for b in range(a + 1):
+            area = (a - b) * b
             for v in powers:
                 closed = gauss(a, b, v)
                 enum = gauss_enum(a, b, v)
@@ -56,16 +61,13 @@ def check_gauss_identities(max_n: int | None = None, bound: int | None = None) -
                                    "enum": enum.pairs()}, f"a<={top}"
                 if closed != gauss(a, a - b, v):
                     return False, {"a": a, "b": b, "v": v, "identity": "symmetry"}, f"a<={top}"
-                area = (a - b) * b
-                complement = LaurentPoly(
-                    [(v * (area - size(z)), 1) for z in enumerate_box(a - b, b)]
-                )
+                complement = LaurentPoly([(v * (area - size(z)), 1) for z in enumerate_box(a - b, b)])
                 if closed != complement:
                     return False, {"a": a, "b": b, "v": v, "identity": "complement"}, f"a<={top}"
-                plain = gauss(a, b, 1)
-                if any(plain.coefficient(e) != plain.coefficient(area - e)
-                       for e in range(area + 1)):
-                    return False, {"a": a, "b": b, "identity": "palindromic"}, f"a<={top}"
+            plain = gauss(a, b, 1)
+            if any(plain.coefficient(e) != plain.coefficient(area - e)
+                   for e in range(area + 1)):
+                return False, {"a": a, "b": b, "identity": "palindromic"}, f"a<={top}"
     return True, None, f"0 <= b <= a <= {top}, v in {powers}"
 
 
@@ -74,6 +76,11 @@ def _alpha_and_degree(res: tuple | None, tail: tuple[int, ...], k: int) -> dict 
     if res is None:
         return None
     return {"alpha": list(unshifted(res[1] + tail)[:k]), "degree": res[0]}
+
+
+def _cohomology(res: BottCohomology | None) -> dict | None:
+    """A ``bott`` outcome as {"degree", "weight"} for a report."""
+    return None if res is None else {"degree": res.degree, "weight": list(res.weight)}
 
 
 def _degree_tally(tail: tuple[int, ...], span: Sequence[int], k: int) -> Counter:
@@ -117,8 +124,9 @@ def check_bott_predicate_agreement(max_n: int | None = None, bound: int | None =
     ``bott_span_summary`` covers them from kernel runs on prefixes and on
     three-entry suffixes: it returns the number of heads, their degree
     tally and the targets some head reaches, with that head's degree, and
-    takes no step per head.  The pair count in the params sums the heads
-    each summary covered.
+    takes no step per head.  Since it joins those outcomes from two pieces,
+    ``bott()`` re-derives every target it reached on the full head, with
+    the same degree.  The pair count in the params sums the heads covered.
     """
     top = 7 if max_n is None else max_n
     checked = 0
@@ -158,6 +166,14 @@ def check_bott_predicate_agreement(max_n: int | None = None, bound: int | None =
                     return False, {"n": n, "k": k, "beta": list(beta), "degree": degree,
                                    "count": tally[degree], "expected_count": expected[degree]
                                    }, f"n<={top}"
+                for target, (degree, head) in reached.items():
+                    alpha = unshifted(head + tail)[:k]
+                    summary = BottCohomology(degree, unshifted(target))
+                    got = bott(alpha, bp, n)
+                    if got != summary:
+                        return False, {"n": n, "k": k, "beta": list(beta), "alpha": list(alpha),
+                                       "summary": _cohomology(summary), "bott": _cohomology(got)
+                                       }, f"n<={top}"
                 hit_by_s = {targets[t]: hit for t, hit in reached.items()}
                 hits = {head: (s, degree) for s, (degree, head) in hit_by_s.items()}
                 for target, s in targets.items():
@@ -200,17 +216,30 @@ def check_example_reproduction(max_n: int | None = None, bound: int | None = Non
     return True, None, f"symm n=3 x=(2,2,0) p=1, window D={window}"
 
 
-def _triple_cases(max_skew_n: int, max_symm_n: int):
-    for n in range(2, max_skew_n + 1):
-        m = n // 2
-        for p in range(m):
-            for s in range(m + 1):
-                yield SKEW, n, p, s, None
-    for n in range(1, max_symm_n + 1):
-        for p in range(n):
-            for s in range(n - p, n + 1):
-                for j in ((1, 2) if s < n else (None,)):
-                    yield SYMM, n, p, s, j
+def _ranks(*tops: tuple[str, int]) -> Iterator[tuple[str, int, int, int | None]]:
+    """(space, n, p, m) for each (space, top) in turn, 1 <= n <= top, by
+    the rank rule 0 <= p < rows(n) (rows(n) = n for general matrices); m
+    runs from n to top for general matrices and is None otherwise."""
+    for space, top in tops:
+        sp = SPACES.get(space)
+        for n in range(1, top + 1):
+            for m in (None,) if sp else range(n, top + 1):
+                for p in range(sp.rows(n) if sp else n):
+                    yield space, n, p, m
+
+
+def _witness_cases(*tops: tuple[str, int]) -> Iterator[tuple[str, int, int, int, int | None]]:
+    """(space, n, p, s, flavor) for each rank of ``_ranks`` and each label of
+    ``all_labels``, with the witness routes' symm rule s >= n - p."""
+    for space, n, p, _ in _ranks(*tops):
+        for label in all_labels(space, n):
+            if space == SKEW or label.s >= n - p:
+                yield space, n, p, label.s, label.flavor
+
+
+def _where(space: str, n: int, p: int, m: int | None) -> dict:
+    """A rank's counterexample keys; m only for general matrices."""
+    return {"space": space, "n": n, **({} if m is None else {"m": m}), "p": p}
 
 
 def check_ext_triple_agreement(max_n: int | None = None, bound: int | None = None) -> Check:
@@ -219,7 +248,7 @@ def check_ext_triple_agreement(max_n: int | None = None, bound: int | None = Non
     skew_top = 8 if max_n is None else max_n
     symm_top = 7 if max_n is None else max_n
     count = 0
-    for space, n, p, s, j in _triple_cases(skew_top, symm_top):
+    for space, n, p, s, j in _witness_cases((SKEW, skew_top), (SYMM, symm_top)):
         closed = witness_ext_closed(space, n, p, s, j)
         enum = witness_ext_enum(space, n, p, s, j)
         via_bott = witness_ext_bott(space, n, p, s, j)
@@ -240,29 +269,16 @@ def check_assembly_agreement(max_n: int | None = None, bound: int | None = None)
     single-term shape at p=0 for all three spaces."""
     skew_top = 8 if max_n is None else max_n
     symm_top = 7 if max_n is None else max_n
-    for n in range(2, skew_top + 1):
-        for p in range(n // 2):
-            a, b = support_poly(SKEW, n, p), support_poly_from_ext(SKEW, n, p)
-            if a.terms != b.terms:
-                return False, {"space": SKEW, "n": n, "p": p}, "assembly"
-    for n in range(1, symm_top + 1):
-        for p in range(n):
-            a, b = support_poly(SYMM, n, p), support_poly_from_ext(SYMM, n, p)
-            if a.terms != b.terms:
-                return False, {"space": SYMM, "n": n, "p": p}, "assembly"
-    for n in range(1, 11):
-        for m in range(n, 11):
-            hp = support_poly(GENERAL, n, 0, m)
-            if set(hp.terms) != {0} or hp.terms[0] != LaurentPoly.q(m * n):
-                return False, {"space": GENERAL, "n": n, "m": m, "p": 0}, "p=0 shape"
-    for space, top in ((SKEW, skew_top), (SYMM, symm_top)):
-        for n in range(1, top + 1):
-            if space == SKEW and n < 2:
-                continue
-            hp = support_poly(space, n, 0)
-            expected = LaurentPoly.q(ambient_dimension(space, n))
-            if set(hp.terms) != {0} or hp.terms[0] != expected:
-                return False, {"space": space, "n": n, "p": 0}, "p=0 shape"
+    for space, n, p, _ in _ranks((SKEW, skew_top), (SYMM, symm_top)):
+        if support_poly(space, n, p).terms != support_poly_from_ext(space, n, p).terms:
+            return False, {"space": space, "n": n, "p": p}, "assembly"
+    for space, n, p, m in _ranks((GENERAL, 10), (SKEW, skew_top), (SYMM, symm_top)):
+        if p:
+            continue
+        hp = support_poly(space, n, 0, m)
+        expected = LaurentPoly.q(ambient_dimension(space, n, m))
+        if set(hp.terms) != {0} or hp.terms[0] != expected:
+            return False, _where(space, n, 0, m), "p=0 shape"
     return True, None, f"skew n<={skew_top}, symm n<={symm_top}, general m,n<=10"
 
 
@@ -270,22 +286,12 @@ def check_lcd_closed_forms(max_n: int | None = None, bound: int | None = None) -
     """Top degree of the main displays against the one-line dimension
     formulas, and the top-degree support for symmetric odd p < n-1."""
     top = 10 if max_n is None else max_n
-    for n in range(1, top + 1):
-        for m in range(n, top + 1):
-            for p in range(n):
-                if lcd(GENERAL, n, p, m) != lcd_closed_form(GENERAL, n, p, m):
-                    return False, {"space": GENERAL, "n": n, "m": m, "p": p}, f"n,m<={top}"
-    for n in range(2, top + 1):
-        for p in range(n // 2):
-            if lcd(SKEW, n, p) != lcd_closed_form(SKEW, n, p):
-                return False, {"space": SKEW, "n": n, "p": p}, f"n<={top}"
-    for n in range(1, top + 1):
-        for p in range(n):
-            if lcd(SYMM, n, p) != lcd_closed_form(SYMM, n, p):
-                return False, {"space": SYMM, "n": n, "p": p}, f"n<={top}"
-            if p % 2 and p < n - 1 and top_support(SYMM, n, p) != [1]:
-                return False, {"space": SYMM, "n": n, "p": p,
-                               "top_support": top_support(SYMM, n, p)}, f"n<={top}"
+    for space, n, p, m in _ranks((GENERAL, top), (SKEW, top), (SYMM, top)):
+        where = f"n<={top}" if m is None else f"n,m<={top}"
+        if lcd(space, n, p, m) != lcd_closed_form(space, n, p, m):
+            return False, _where(space, n, p, m), where
+        if space == SYMM and p % 2 and p < n - 1 and top_support(space, n, p) != [1]:
+            return False, {**_where(space, n, p, m), "top_support": top_support(space, n, p)}, where
     return True, None, f"all spaces, n,m <= {top}, every valid p"
 
 
@@ -308,14 +314,11 @@ def check_skew_exponent_parity(max_n: int | None = None, bound: int | None = Non
     """Every exponent of every skew witness multiplicity is congruent to
     m-p mod 2 (the degeneration argument at witness level)."""
     top = 8 if max_n is None else max_n
-    for n in range(2, top + 1):
-        m = n // 2
-        for p in range(m):
-            for s in range(m + 1):
-                poly = witness_ext_closed(SKEW, n, p, s)
-                if any((e - (m - p)) % 2 for e in poly.exponents()):
-                    return False, {"n": n, "p": p, "s": s,
-                                   "exponents": poly.exponents()}, f"n<={top}"
+    for space, n, p, s, j in _witness_cases((SKEW, top)):
+        m = SPACES[space].rows(n)
+        poly = witness_ext_closed(space, n, p, s, j)
+        if any((e - (m - p)) % 2 for e in poly.exponents()):
+            return False, {"n": n, "p": p, "s": s, "exponents": poly.exponents()}, f"n<={top}"
     return True, None, f"skew n<={top}, all valid (p, s)"
 
 
@@ -339,16 +342,10 @@ def check_filtration(max_n: int | None = None, bound: int | None = None) -> Chec
     window = 10 if bound is None else bound
     symm_top = 4 if max_n is None else max_n
     skew_top = 6 if max_n is None else max_n
-    for n in range(1, symm_top + 1):
-        for p in range(n):
-            rep = filtration_check(SYMM, n, p, window)
-            if not rep.ok:
-                return False, rep.mismatch, f"symm n={n} p={p} D={window}"
-    for n in range(2, skew_top + 1):
-        for p in range(n // 2):
-            rep = filtration_check(SKEW, n, p, window)
-            if not rep.ok:
-                return False, rep.mismatch, f"skew n={n} p={p} D={window}"
+    for space, n, p, _ in _ranks((SYMM, symm_top), (SKEW, skew_top)):
+        rep = filtration_check(space, n, p, window)
+        if not rep.ok:
+            return False, rep.mismatch, f"{space} n={n} p={p} D={window}"
     return True, None, f"symm n<={symm_top}, skew n<={skew_top}, D={window}"
 
 

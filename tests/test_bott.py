@@ -57,19 +57,6 @@ def test_rank_mismatch_rejected():
         bott((1, 2), (0,), 3)  # not dominant
 
 
-@pytest.mark.parametrize("n,message", [
-    (-1, "n must be non-negative, got -1"),
-    (True, "n must be an int, got True"),
-    (2.0, "n must be an int, got 2.0"),
-])
-def test_bad_n_rejected_by_name(n, message):
-    # the fault is n itself, not the ranks of alpha and beta
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        bott((1,), (0,), n)
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        bott((), (), n)
-
-
 def test_degree_bounded_by_grassmannian_dimension():
     for n in range(1, 6):
         for k in range(n + 1):
@@ -241,6 +228,32 @@ def test_sweep_checks_every_outcome_degree(monkeypatch):
     # (1,), the four above it have degree 0, but (5,) now reads 1
     assert counterexample == {
         "n": 2, "k": 1, "beta": [1], "degree": 0, "count": 3, "expected_count": 4,
+    }
+
+
+def test_sweep_runs_the_kernel_on_full_heads(monkeypatch):
+    # the summary runs the kernel only on prefixes and three-entry suffixes,
+    # so a kernel that adds 1 to the degree of every head of five or more
+    # entries keeps every count, tally and target of the summary; only
+    # bott() on a full head reaches it
+    def long_head(tail, heads):
+        isdisjoint = frozenset(tail).isdisjoint
+        above = bott_module._CountAbove(tail).__getitem__
+        for head in heads:
+            if isdisjoint(head):
+                yield (sum(map(above, head)) + (len(head) >= 5),
+                       tuple(sorted(head + tail, reverse=True)))
+            else:
+                yield None
+
+    monkeypatch.setattr(bott_module, "bott_kernel", long_head)
+    passed, counterexample, params = verify_mod.check_bott_predicate_agreement(max_n=5)
+    assert not passed and params == "n<=5"
+    # n=5, k=5 is the first rank with five-entry heads; its one beta is ()
+    weight = [0, 0, -1, -1, -1]
+    assert counterexample == {
+        "n": 5, "k": 5, "beta": [], "alpha": weight,
+        "summary": {"degree": 0, "weight": weight}, "bott": {"degree": 1, "weight": weight},
     }
 
 

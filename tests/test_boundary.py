@@ -235,3 +235,15 @@ def test_enumerate_weights_rejects_a_negative_rank_by_name():
         list(enumerate_weights(-1, 0, 1))
     # an empty entry range is still an empty listing, not an error
     assert list(enumerate_weights(2, 1, 0)) == []
+
+
+def test_bott_rejects_a_negative_n_by_name():
+    # the fault is n itself, not the ranks of alpha and beta
+    for alpha, beta in (((1,), (0,)), ((), ())):
+        with pytest.raises(ValueError, match=r"^n must be non-negative, got -1$"):
+            bott(alpha, beta, -1)
+
+
+def test_enumerate_members_rejects_a_negative_entry_bound_by_name():
+    with pytest.raises(ValueError, match=r"^entry_bound must be non-negative, got -1$"):
+        enumerate_members(SimpleLabel(SKEW, 4, 1), -1)

@@ -474,13 +474,3 @@ def test_filtration_check_places_every_ring_partition(monkeypatch):
     monkeypatch.setattr(loccoh.characters, "filtration_layers", lambda *args: real(*args)[1:])
     with pytest.raises(AssertionError, match=r"ring partition \(\) dominates no layer"):
         filtration_check(SYMM, 3, 1, 6)
-
-
-@pytest.mark.parametrize("entry_bound,message", [
-    (-1, "entry_bound must be non-negative, got -1"),
-    (True, "entry_bound must be an int, got True"),
-    (2.0, "entry_bound must be an int, got 2.0"),
-])
-def test_enumerate_members_rejects_a_bad_entry_bound(entry_bound, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        enumerate_members(SimpleLabel(SKEW, 4, 1), entry_bound)
