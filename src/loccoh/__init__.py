@@ -1,7 +1,11 @@
 """Exact composition multiplicities of local cohomology with determinantal
 and Pfaffian support, with the supporting combinatorics: the Bott algorithm
 on Grassmannians, Gauss polynomials, equivariant characters and Ext
-multiplicities, everything cross-checked against enumeration oracles."""
+multiplicities, everything cross-checked against enumeration oracles.
+
+The package attribute ``bott`` is the function, not its submodule, so
+``import loccoh.bott as m`` binds the function; reach the module with
+``importlib.import_module("loccoh.bott")``."""
 
 from .partitions import (
     Partition,

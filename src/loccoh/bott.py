@@ -17,7 +17,9 @@ with its degree, without trying any other.
 
 ``trivial_isotypic`` and ``wedge_isotypic`` are the closed-form answers for
 when that cohomology contributes a trivial summand, respectively a
-wedge-power summand; the acceptance sweep checks them against the kernel.
+wedge-power summand; the trivial weight is the wedge weight at s = n, so
+``trivial_isotypic`` is ``wedge_isotypic`` there.  The acceptance sweep
+checks ``wedge_isotypic`` against the kernel at every applicable s.
 """
 
 from __future__ import annotations
@@ -231,14 +233,7 @@ def trivial_isotypic(beta: Partition, k: int, n: int) -> tuple[LaurentPoly, Weig
     alpha = dual(beta')) exactly when beta fits the (n-k) x k box; the
     returned polynomial is q^|beta| then, zero otherwise.
     """
-    _check_ints(k=k, n=n)
-    beta = partition(beta)
-    if len(beta) > n - k:
-        raise ValueError(f"beta={beta} needs at most {n - k} parts")
-    if beta and beta[0] > k:
-        return LaurentPoly.zero(), None
-    alpha = dual(padded(conjugate(beta), k))
-    return LaurentPoly.q(size(beta)), alpha
+    return wedge_isotypic(beta, k, n, n)
 
 
 def wedge_isotypic(beta: Partition, k: int, n: int, s: int) -> tuple[LaurentPoly, Weight | None]:

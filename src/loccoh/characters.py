@@ -129,6 +129,11 @@ class Space:
             return (s + 1,) * s + (s,) * (n - s)
         return (s + 1,) * n
 
+    def lowest_witness(self, n: int, p: int) -> int:
+        """The least index s whose witness Ext(J_p, S) is defined for:
+        0 skew, n - p symm."""
+        return 0 if self.block == 2 else n - p
+
     def forced_top(self, n: int, p: int, s: int) -> int:
         """The top value d of the J_p layers whose Ext can hold the witness of
         index s, by the degree condition (0 where symm s + p - n is odd)."""

@@ -30,7 +30,6 @@ from operator import add
 
 from .characters import (
     SKEW,
-    SYMM,
     Space,
     _check_rank,
     _layer_head,
@@ -39,7 +38,6 @@ from .characters import (
 from .partitions import (
     Partition,
     Weight,
-    _check_ints,
     conjugate,
     doubled,
     duplicated,
@@ -126,12 +124,12 @@ def ext_character(space: str, n: int, x: Partition, p: int, bound: int) -> Grade
 
 
 def _validate_witness_args(space: str, n: int, p: int, s: int, flavor: int | None) -> Space:
-    """Check a witness request by the rank and label rules, plus s >= n - p
-    for symm; return the record of its space."""
+    """Check a witness request by the rank and label rules, plus s at least
+    ``Space.lowest_witness``; return the record of its space."""
     sp = _record(space, n, p, s)
     _check_rank(sp, n, p)
     sp.check_label(n, s, flavor)
-    if space == SYMM and s < n - p:
+    if s < sp.lowest_witness(n, p):
         raise ValueError(f"need n-p <= s <= n, got s={s}, p={p}, n={n}")
     return sp
 
@@ -223,15 +221,12 @@ def witness_ext_enum(space: str, n: int, p: int, s: int, flavor: int | None = No
     return LaurentPoly(counts)
 
 
-def witness_ext_bott(
-    space: str, n: int, p: int, s: int, flavor: int | None = None, d_bound: int | None = None
-) -> LaurentPoly:
+def witness_ext_bott(space: str, n: int, p: int, s: int, flavor: int | None = None) -> LaurentPoly:
     """Witness multiplicity by summing the sheaf-cohomology route over the
     whole direct sum J_p.
 
-    Sweeps the top value d of the indexing partitions from 0 to d_bound
-    (default: two beyond the value forced by the degree condition; a bound
-    below it raises, since it would cut off the answer).  Each layer x, given
+    Sweeps the top value d of the indexing partitions from 0 to two beyond
+    the value forced by the degree condition.  Each layer x, given
     by its twist and its rank n-k sub-bundle weight x2, holds the witness in
     Ext(J_{x,p}, S) at most once, by sheaf cohomology and the Bott algorithm:
     output weights shrink by 2 per unit of the symmetric-algebra index, so
@@ -243,13 +238,6 @@ def witness_ext_bott(
     nonzero d would falsify the forced-degree analysis and raises.
     """
     sp = _validate_witness_args(space, n, p, s, flavor)
-    forced = max(sp.forced_top(n, p, s), 0)
-    if d_bound is None:
-        d_bound = forced + 2
-    else:
-        _check_ints(d_bound=d_bound)
-        if d_bound < forced:
-            raise ValueError(f"d_bound={d_bound} is below the forced top value {forced}")
     target = sp.witness(n, s, flavor)
     tail_len = sp.rows(n) - p - 1
     k = sp.quotient_rank(p)
@@ -261,7 +249,7 @@ def witness_ext_bott(
     target_c, target_size = shifted(target_mu, n), sum(target_mu)
     total = Counter()
     contributing: list[int] = []
-    for d in range(d_bound + 1):
+    for d in range(max(sp.forced_top(n, p, s), 0) + 3):
         at_d = Counter()
         # the layer x is y = (d^(p+1), tail) in the record's shape, padded
         # to n: its first k parts are the head of shape((d,)), the rest x2

@@ -149,17 +149,14 @@ def enumerate_box(rows: int, width: int) -> Iterator[Partition]:
             parts -= 1
 
 
-def partitions_of_size(total: int, max_parts: int, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of `total` with at most `max_parts` parts, each at most
-    `max_part` (unbounded when None).
+def partitions_of_size(total: int, max_parts: int) -> Iterator[Partition]:
+    """All partitions of `total` with at most `max_parts` parts.
 
     Lexicographically descending, by an iterative successor.
     """
     # inline first: the Ext character oracles call this once per size
     if not (type(total) is int and type(max_parts) is int):
         _check_ints(total=total, max_parts=max_parts)
-    if max_part is not None:
-        _check_ints(max_part=max_part)
     if max_parts < 0:
         raise ValueError("max_parts must be non-negative")
     if total < 0:
@@ -167,11 +164,9 @@ def partitions_of_size(total: int, max_parts: int, max_part: int | None = None) 
     if total == 0:
         yield ()
         return
-    cap = total if max_part is None else min(total, max_part)
-    if cap <= 0 or total > max_parts * cap:
+    if not max_parts:
         return
-    q, r = divmod(total, cap)
-    a = [cap] * q + [r] * (r > 0)
+    a = [total]
     while True:
         yield tuple(a)
         # the rightmost part v that can drop to v-1 with the rest of the

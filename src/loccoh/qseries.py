@@ -100,16 +100,6 @@ class LaurentPoly:
         """Largest exponent with a nonzero coefficient; None for zero."""
         return max(self._c) if self._c else None
 
-    def bottom_degree(self) -> int | None:
-        return min(self._c) if self._c else None
-
-    def substitute_power(self, v: int) -> "LaurentPoly":
-        """Substitute q -> q**v (v nonzero, so exponents stay distinct)."""
-        _check_ints(v=v)
-        if v == 0:
-            raise ValueError("substitution power must be nonzero")
-        return LaurentPoly({e * v: c for e, c in self._c.items()})
-
     def __bool__(self) -> bool:
         return bool(self._c)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .bott import (BottCohomology, bott, bott_preimage, bott_span_summary, shifted,
-                   trivial_isotypic, unshifted, wedge_isotypic)
+                   unshifted, wedge_isotypic)
 from .characters import (
     SKEW,
     SPACES,
@@ -107,14 +107,15 @@ def check_bott_predicate_agreement(max_n: int | None = None, bound: int | None =
 
     For every k <= n, every beta with at most n-k parts of size at most
     k+2 and every dominant alpha with entries in [-n-2, n+2], the kernel
-    hits the trivial weight (resp. the wedge weight of index s, where the
-    predicate applies) for exactly the alpha that ``trivial_isotypic``
-    (resp. ``wedge_isotypic``) names, in the degree its polynomial gives.
-    Counterexamples name the first failing alpha in enumeration order.
-    Each beta also needs exactly comb(n+2k+4, k) nonzero outcomes, one per
-    head disjoint from its shifted tail, and ``bott_preimage`` of each
-    applicable target must name the head the kernel sent there, with its
-    degree, or no head inside the span when the kernel sent none.
+    hits the wedge weight of index s, where the predicate applies, for
+    exactly the alpha that ``wedge_isotypic`` names, in the degree its
+    polynomial gives; s = n is the trivial weight, where ``wedge_isotypic``
+    is ``trivial_isotypic``.  Counterexamples name the first failing alpha
+    in enumeration order.  Each beta also needs exactly comb(n+2k+4, k)
+    nonzero outcomes, one per head disjoint from its shifted tail, and
+    ``bott_preimage`` of each applicable target must name the head the
+    kernel sent there, with its degree, or no head inside the span when the
+    kernel sent none.
 
     The degree tally of each beta's nonzero outcomes must equal
     ``_degree_tally``, a product of binomials that never runs the kernel,
@@ -124,9 +125,11 @@ def check_bott_predicate_agreement(max_n: int | None = None, bound: int | None =
     ``bott_span_summary`` covers them from kernel runs on prefixes and on
     three-entry suffixes: it returns the number of heads, their degree
     tally and the targets some head reaches, with that head's degree, and
-    takes no step per head.  Since it joins those outcomes from two pieces,
-    ``bott()`` re-derives every target it reached on the full head, with
-    the same degree.  The pair count in the params sums the heads covered.
+    takes no step per head.  The heads it covered must number
+    comb(len(span), k), every k-subset once.  Since it joins those outcomes
+    from two pieces, ``bott()`` re-derives every target it reached on the
+    full head, with the same degree.  The pair count in the params sums the
+    heads covered.
     """
     top = 7 if max_n is None else max_n
     checked = 0
@@ -141,18 +144,21 @@ def check_bott_predicate_agreement(max_n: int | None = None, bound: int | None =
             span = range(2 * n + 1, -k - 3, -1)
             # every tail lies inside the span, so n+2k+4 entries stay free
             free_heads = comb(n + 2 * k + 4, k)
+            heads = comb(len(span), k)
             for beta in enumerate_box(r, k + 2):
                 bp = padded(beta, r)
                 applicable = [s for s in range(r, n + 1) if all(b >= n - s for b in bp)]
                 predicted = {}
                 for s in applicable:
-                    poly, alpha = (trivial_isotypic(beta, k, n) if s == n
-                                   else wedge_isotypic(beta, k, n, s))
+                    poly, alpha = wedge_isotypic(beta, k, n, s)
                     if alpha is not None:
                         predicted[shifted(alpha, n)] = (s, poly)
                 tail = shifted(bp, r)
                 covered, tally, reached = bott_span_summary(
                     tail, span, k, [t for t, s in targets.items() if s in applicable])
+                if covered != heads:
+                    return False, {"n": n, "k": k, "beta": list(beta), "covered": covered,
+                                   "expected_covered": heads}, f"n<={top}"
                 # checked counts every (alpha, beta) pair, one outcome each
                 checked += covered
                 nonzero = tally.total()
@@ -230,10 +236,12 @@ def _ranks(*tops: tuple[str, int]) -> Iterator[tuple[str, int, int, int | None]]
 
 def _witness_cases(*tops: tuple[str, int]) -> Iterator[tuple[str, int, int, int, int | None]]:
     """(space, n, p, s, flavor) for each rank of ``_ranks`` and each label of
-    ``all_labels``, with the witness routes' symm rule s >= n - p."""
+    ``all_labels`` with s at least ``Space.lowest_witness``, as the witness
+    routes require."""
     for space, n, p, _ in _ranks(*tops):
+        lowest = SPACES[space].lowest_witness(n, p)
         for label in all_labels(space, n):
-            if space == SKEW or label.s >= n - p:
+            if label.s >= lowest:
                 yield space, n, p, label.s, label.flavor
 
 

@@ -1,7 +1,9 @@
 """The Bott algorithm and its closed-form isotypic predicates."""
 
 import importlib
+import inspect
 import random
+import textwrap
 from collections import Counter
 from itertools import combinations
 
@@ -159,14 +161,17 @@ def test_kernel_batch_matches_bott():
 
 
 def test_sweep_runs_the_shipped_predicates(monkeypatch):
-    # a wrong alpha from the shipped trivial_isotypic fails the sweep
-    real = verify_mod.trivial_isotypic
+    # a wrong alpha from the shipped wedge_isotypic at s = n, the trivial
+    # weight, fails the sweep
+    real = verify_mod.wedge_isotypic
 
-    def wrong_alpha(beta, k, n):
-        poly, alpha = real(beta, k, n)
-        return poly, None if alpha is None else (alpha[0] + 1,) + alpha[1:]
+    def wrong_alpha(beta, k, n, s):
+        poly, alpha = real(beta, k, n, s)
+        if s == n and alpha is not None:
+            alpha = (alpha[0] + 1,) + alpha[1:]
+        return poly, alpha
 
-    monkeypatch.setattr(verify_mod, "trivial_isotypic", wrong_alpha)
+    monkeypatch.setattr(verify_mod, "wedge_isotypic", wrong_alpha)
     passed, counterexample, params = verify_mod.check_bott_predicate_agreement(max_n=3)
     assert not passed and params == "n<=3"
     assert counterexample == {
@@ -228,6 +233,27 @@ def test_sweep_checks_every_outcome_degree(monkeypatch):
     # (1,), the four above it have degree 0, but (5,) now reads 1
     assert counterexample == {
         "n": 2, "k": 1, "beta": [1], "degree": 0, "count": 3, "expected_count": 4,
+    }
+
+
+def test_sweep_checks_the_heads_covered(monkeypatch):
+    # a summary that drops every prefix group whose last entry lies in the
+    # tail at k = 5 loses only heads that meet the tail, so every nonzero
+    # count, degree tally and target stays; only the number of heads
+    # covered catches it
+    source = textwrap.dedent(inspect.getsource(bott_module.bott_span_summary))
+    anchor = "for i in range(k - m - 1, len(span) - m))"
+    assert source.count(anchor) == 1
+    mutant = source.replace(anchor, anchor[:-1] + " if not (k == 5 and span[i] in tail))")
+    namespace = dict(vars(bott_module))
+    exec(mutant, namespace)
+    monkeypatch.setattr(verify_mod, "bott_span_summary", namespace["bott_span_summary"])
+    passed, counterexample, params = verify_mod.check_bott_predicate_agreement(max_n=6)
+    assert not passed and params == "n<=6"
+    # n=6, k=5, beta=(7,) is the first beta with a tail entry a prefix can
+    # end in: the group ending in 7 held 6 * comb(14, 3) = 2184 heads
+    assert counterexample == {
+        "n": 6, "k": 5, "beta": [7], "covered": 18165, "expected_covered": 20349,
     }
 
 

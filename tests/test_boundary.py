@@ -90,7 +90,6 @@ ROWS = {
     "LaurentPoly": (LaurentPoly, dict(coeffs=3), ("coeffs",)),
     "LaurentPoly.q": (LaurentPoly.q, dict(exponent=2, coefficient=1), ("exponent", "coefficient")),
     "LaurentPoly.coefficient": (POLY.coefficient, dict(exponent=1), ("exponent",)),
-    "LaurentPoly.substitute_power": (POLY.substitute_power, dict(v=1), ("v",)),
     "SimpleLabel": (SimpleLabel, dict(space=SYMM, n=3, s=1, flavor=2), ("n", "s", "flavor")),
     "all_labels": (all_labels, dict(space=SYMM, n=3), ("n",)),
     "ambient_dimension": (ambient_dimension, dict(space=GENERAL, n=3, m=4), ("n", "m")),
@@ -117,8 +116,7 @@ ROWS = {
     "member_skew": (member_skew, dict(lam=(0, 0, 0, 0), s=1, n=4), ("s", "n")),
     "member_symm": (member_symm, dict(lam=(2, 2, 2), s=1, flavor=1, n=3), ("s", "flavor", "n")),
     "partition": (partition, dict(parts=(3, 1, 0)), ()),
-    "partitions_of_size": (partitions_of_size, dict(total=4, max_parts=2, max_part=3),
-                           ("total", "max_parts", "max_part")),
+    "partitions_of_size": (partitions_of_size, dict(total=4, max_parts=2), ("total", "max_parts")),
     "run_suite": (run_suite, dict(suite="qseries", max_n=2, bound=1, threads=1),
                   ("max_n", "bound", "threads")),
     "schur_dimension": (schur_dimension, dict(lam=(2, 1), n=3), ("n",)),
@@ -129,8 +127,7 @@ ROWS = {
     "trivial_isotypic": (trivial_isotypic, dict(beta=(1,), k=1, n=2), ("k", "n")),
     "wedge_isotypic": (wedge_isotypic, dict(beta=(1,), k=1, n=2, s=1), ("k", "n", "s")),
     "weight": (weight, dict(entries=(1,), rank=2), ("rank",)),
-    "witness_ext_bott": (witness_ext_bott, dict(SYMM_WITNESS, d_bound=3),
-                         ("n", "p", "s", "flavor", "d_bound")),
+    "witness_ext_bott": (witness_ext_bott, SYMM_WITNESS, ("n", "p", "s", "flavor")),
     "witness_ext_closed": (witness_ext_closed, SYMM_WITNESS, ("n", "p", "s", "flavor")),
     "witness_ext_enum": (witness_ext_enum, SYMM_WITNESS, ("n", "p", "s", "flavor")),
     "witness_weight": (witness_weight, dict(label=SimpleLabel(SKEW, 4, 1)), ()),

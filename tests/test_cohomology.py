@@ -177,17 +177,17 @@ def test_bottom_degree_is_codimension():
     for n in range(1, 13):
         for p in range(n):
             hp = support_poly(SYMM, n, p)
-            assert min(t.bottom_degree() for t in hp.terms.values()) == comb(n - p + 1, 2)
+            assert min(min(t.exponents()) for t in hp.terms.values()) == comb(n - p + 1, 2)
     for n in range(2, 13):
         for p in range(n // 2):
             hp = support_poly(SKEW, n, p)
-            assert min(t.bottom_degree() for t in hp.terms.values()) == comb(n - 2 * p, 2)
+            assert min(min(t.exponents()) for t in hp.terms.values()) == comb(n - 2 * p, 2)
     for n in range(1, 11):
         for m in range(n, 13):
             for p in range(n):
                 hp = support_poly(GENERAL, n, p, m)
-                bottom = min(t.bottom_degree() for t in hp.terms.values())
-                assert bottom == (n - p) * (m - p) == hp.terms[p].bottom_degree()
+                bottom = min(min(t.exponents()) for t in hp.terms.values())
+                assert bottom == (n - p) * (m - p) == min(hp.terms[p].exponents())
 
 
 def test_general_maximal_minors():

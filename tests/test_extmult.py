@@ -143,20 +143,16 @@ def test_positivity():
                 assert all(c > 0 for _, c in witness_ext_closed(SKEW, n, p, s).pairs())
 
 
-def test_forced_top_value_unique():
-    # widening the sweep window cannot pick up extra contributions
-    assert witness_ext_bott(SKEW, 5, 1, 2, d_bound=8) == LaurentPoly.q(5)
-    assert witness_ext_bott(SYMM, 3, 1, 2, 2, d_bound=8) == LaurentPoly.q(3)
-    # the forced value itself is the smallest bound that keeps the answer
-    assert witness_ext_bott(SKEW, 5, 1, 2, d_bound=2) == LaurentPoly.q(5)
-
-
-@pytest.mark.parametrize("d_bound", [1, 0, -3])
-def test_d_bound_below_the_forced_top_value_is_rejected(d_bound):
-    # the answer q^5 sits at the forced top value 2; a smaller bound would
-    # return 0 instead of cutting the answer off in silence
-    with pytest.raises(ValueError, match=f"^d_bound={d_bound} is below the forced top value 2$"):
-        witness_ext_bott(SKEW, 5, 1, 2, d_bound=d_bound)
+def test_forced_top_value_unique(monkeypatch):
+    # the Bott route sweeps the top value up to the forced one plus 2:
+    # widening that window (+6) cannot pick up extra contributions, and
+    # stopping at the forced value itself (-2) keeps the answer
+    real = extmult.Space.forced_top
+    for step in (6, -2):
+        monkeypatch.setattr(extmult.Space, "forced_top",
+                            lambda self, n, p, s: real(self, n, p, s) + step)
+        assert witness_ext_bott(SKEW, 5, 1, 2) == LaurentPoly.q(5)
+        assert witness_ext_bott(SYMM, 3, 1, 2, 2) == LaurentPoly.q(3)
 
 
 def test_forced_degree_guard_raises_on_a_second_top_value(monkeypatch):

@@ -121,7 +121,6 @@ def test_no_stored_zero_coefficients(f):
 def test_top_degree():
     assert LaurentPoly({3: 1, 5: 1}).top_degree() == 5
     assert LaurentPoly.zero().top_degree() is None
-    assert LaurentPoly({-3: 2, 4: 1}).bottom_degree() == -3
 
 
 def test_divexact():
@@ -150,14 +149,15 @@ def test_gauss_examples():
 
 
 def _product_formula_by_division(a, b, v):
-    """The product formula as two LaurentPoly products and one divexact."""
+    """The product formula as two LaurentPoly products and one divexact,
+    then q -> q^v."""
     if b < 0 or b > a:
         return LaurentPoly.zero()
     num = den = LaurentPoly.one()
     for i in range(1, b + 1):
         num = num * (LaurentPoly.one() - LaurentPoly.q(a - b + i))
         den = den * (LaurentPoly.one() - LaurentPoly.q(i))
-    return num.divexact(den).substitute_power(v)
+    return LaurentPoly({e * v: c for e, c in num.divexact(den).pairs()})
 
 
 def test_gauss_matches_product_formula_by_division():
