@@ -22,11 +22,11 @@ a single subquotient, truncated to a finite window of weight sizes.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from operator import add
+from operator import add, sub
 
 from .characters import (
     SKEW,
@@ -44,7 +44,6 @@ from .partitions import (
     enumerate_box,
     padded,
     partition,
-    partitions_of_size,
 )
 from .qseries import LaurentPoly, gauss
 from .bott import bott_kernel, bott_preimage, shifted
@@ -72,23 +71,38 @@ class GradedCharacter:
         return self.by_degree.get(degree, Counter()).get(tuple(lam), 0)
 
 
-def _shifted_heads(
-    sp: Space, n: int, p: int, twist: int, ys: Iterable[Partition]
-) -> Iterator[tuple[int, ...]]:
-    """``shifted(alpha, n)`` for the quotient-bundle weight alpha of the y-th
-    summand of the dual twisted symmetric algebra, for each y in ``ys``.
+def _summand_heads(sp: Space, p: int, base: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
+    """``shifted(alpha, n)`` for the quotient-bundle weight alpha of each
+    summand y of the dual twisted symmetric algebra with at most p parts
+    and lo <= |y| <= hi, depth first.
 
-    alpha_i = twist - z_{k-i}, z the record's shape of y zero-padded to the
-    quotient rank k.  The ys must be partitions with at most p parts; they
-    are not validated again.
+    Position q of the record's shape z of y, zero-padded to the quotient
+    rank, holds the head entry base + q - z_q, and the head lists q
+    downwards.  So y is walked from its last part to its first, and each
+    part extends the head prefix its later parts share by the entries of
+    its piece of the shape.
     """
-    k = sp.quotient_rank(p)
-    offsets = list(range(twist + n - 1, twist + n - 1 - k, -1))
-    for y in ys:
-        z = sp.shape(y)
-        # z reversed and zero-padded on the left lines up with the offsets
-        j = k - len(z)
-        yield tuple(offsets[:j] + [o - a for o, a in zip(offsets[j:], reversed(z))])
+    if not p:
+        if not lo:
+            yield ()
+        return
+    w = sp.quotient_rank(1)  # shape entries per part of y
+    # pieces[i][v]: the head entries of a part v at position i of y, for
+    # shape positions w*i + w - 1 down to w*i; a part at i leaves room for
+    # i more parts at least as large within hi
+    pieces = [[tuple(map(sub, range(base + w * i + w - 1, base + w * i - 1, -1), sp.shape((v,))[::-1]))
+               for v in range(hi // (i + 1) + 1)] for i in range(p)]
+    # (head prefix, position of the next part, least part, |y| so far)
+    stack = [((), p - 1, 0, 0)]
+    while stack:
+        prefix, i, least, used = stack.pop()
+        at = pieces[i]
+        if i:
+            for v in range(least, (hi - used) // (i + 1) + 1):
+                stack.append((prefix + at[v], i - 1, v, used + v))
+        else:
+            for v in range(max(least, lo - used), hi - used + 1):
+                yield prefix + at[v]
 
 
 def ext_character(space: str, n: int, x: Partition, p: int, bound: int) -> GradedCharacter:
@@ -113,11 +127,12 @@ def ext_character(space: str, n: int, x: Partition, p: int, bound: int) -> Grade
         )
     # the final weight is the sorted shifted entries minus delta, plus shift
     offsets = range(shift - n + 1, shift + 1)
-    ys = (y for half in range((base_final + bound) // 2 + 1)
-          if -bound <= base_final - 2 * half <= bound
-          for y in partitions_of_size(half, p))
+    # summand y lands at size base_final - 2|y|, inside the window exactly
+    # for these |y|
+    lo, hi = max(0, -((bound - base_final) // 2)), (base_final + bound) // 2
+    heads = _summand_heads(sp, p, twist + n - k, lo, hi)
     by_degree: defaultdict[int, Counter] = defaultdict(Counter)
-    for res in bott_kernel(shifted(x2, n - k), _shifted_heads(sp, n, p, twist, ys)):
+    for res in bott_kernel(shifted(x2, n - k), heads):
         if res is not None:
             by_degree[top - res[0]][tuple(map(add, res[1], offsets))] += 1
     return GradedCharacter(dict(by_degree), bound)
@@ -232,10 +247,12 @@ def witness_ext_bott(space: str, n: int, p: int, s: int, flavor: int | None = No
     output weights shrink by 2 per unit of the symmetric-algebra index, so
     only summands y of one size can reach the target; and a Bott head
     reaches it only as the target minus the layer's tail.  So at most one
-    summand contributes, and it is found by inverting the kernel and
-    ``_shifted_heads`` instead of trying every y of that size; it adds
-    q^(top index - Bott degree).  Exactly one d may contribute; a second
-    nonzero d would falsify the forced-degree analysis and raises.
+    summand contributes, and it is found by inverting the kernel instead
+    of trying every y of that size; it adds q^(top index - Bott degree).
+    A layer whose tail has an entry outside the target reaches nothing,
+    so it is skipped before the kernel is inverted.  Exactly one d may
+    contribute; a second nonzero d would falsify the forced-degree
+    analysis and raises.
     """
     sp = _validate_witness_args(space, n, p, s, flavor)
     target = sp.witness(n, s, flavor)
@@ -247,6 +264,7 @@ def witness_ext_bott(space: str, n: int, p: int, s: int, flavor: int | None = No
     # determinant shift, and as the size of that difference
     target_mu = tuple(t - shift for t in target)
     target_c, target_size = shifted(target_mu, n), sum(target_mu)
+    in_target = frozenset(target_c).issuperset
     total = Counter()
     contributing: list[int] = []
     for d in range(max(sp.forced_top(n, p, s), 0) + 3):
@@ -255,18 +273,19 @@ def witness_ext_bott(space: str, n: int, p: int, s: int, flavor: int | None = No
         # to n: its first k parts are the head of shape((d,)), the rest x2
         # is shape((d,) + tail) padded to n - k
         twist = sp.twist(sp.shape((d,))[0], p)
-        # the y of a head: z reversed is the offsets of ``_shifted_heads``
-        # minus the head, which has k entries
+        # the y of a head: position q of its shape z holds the head entry
+        # twist + n - k + q - z_q, so z reversed is these offsets minus the
+        # head, which has k entries
         offsets = range(twist + n - k, twist + n)
         for tail in enumerate_box(tail_len, d):
             x2 = padded(sp.shape((d,) + tail), n - k)
             needed = k * twist + sum(x2) - target_size
             if needed < 0 or needed % 2:
                 continue
-            res = bott_preimage(shifted(x2, n - k), target_c)
-            if res is None:
+            tail_c = shifted(x2, n - k)
+            if not in_target(tail_c):
                 continue
-            degree, head = res
+            degree, head = bott_preimage(tail_c, target_c)
             y = sp.unshape(tuple([o - h for o, h in zip(offsets, reversed(head))]))
             if y is not None and sum(y) == needed // 2:
                 at_d[top - degree] += 1

@@ -154,7 +154,7 @@ def partitions_of_size(total: int, max_parts: int) -> Iterator[Partition]:
 
     Lexicographically descending, by an iterative successor.
     """
-    # inline first: the Ext character oracles call this once per size
+    # inline first: the ring, ideal and layer characters call this once per size
     if not (type(total) is int and type(max_parts) is int):
         _check_ints(total=total, max_parts=max_parts)
     if max_parts < 0:

@@ -88,19 +88,6 @@ def test_non_int_arguments_rejected_by_name(route, args, name):
         route(*args)
 
 
-@pytest.mark.parametrize("args,name", [
-    ((SYMM, 3, (2, 2, 0), True, 6), "p"),
-    ((SYMM, 3, (2, 2, 0), 1.0, 6), "p"),
-    ((SYMM, 3.0, (2, 2, 0), 1, 6), "n"),
-    ((SKEW, True, (), 0, 6), "n"),
-    ((SKEW, 4, (1, 1), 1, 6.0), "bound"),
-    ((SYMM, 3, (2, 2, 0), 1, False), "bound"),
-])
-def test_ext_character_rejects_non_int_arguments_by_name(args, name):
-    with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
-        ext_character(*args)
-
-
 @pytest.mark.parametrize("route", ROUTES)
 def test_unknown_space_rejected(route):
     with pytest.raises(ValueError, match="^space must be 'skew' or 'symm', got 'general'$"):
@@ -256,6 +243,82 @@ def test_witness_ext_bott_validates_each_layer_at_most_once(monkeypatch):
     # forced top value 5, so d runs to 7 over tails in the 3 x d box
     layers = sum(comb(3 + d, 3) for d in range(8))
     assert len(calls) <= layers
+
+
+def _reference_character(space, n, x, p, bound):
+    """``ext_character``'s listing rebuilt from exported pieces: every
+    summand y of each size in the window, its alpha through ``Space.shape``
+    and one ``bott`` call per y."""
+    from collections import defaultdict
+
+    from loccoh.bott import bott
+    from loccoh.characters import SPACES
+    from loccoh.partitions import padded, partitions_of_size
+
+    sp = SPACES[space]
+    k = sp.quotient_rank(p)
+    xp = padded(x, n)
+    twist, x2 = sp.twist(xp[0] if k else 0, p), xp[k:]
+    shift = sp.det_shift(n)
+    base_final = k * twist + sum(x2) + n * shift
+    by_degree = defaultdict(Counter)
+    for half in range((base_final + bound) // 2 + 1):
+        if abs(base_final - 2 * half) > bound:
+            continue
+        for y in partitions_of_size(half, p):
+            z = padded(sp.shape(y), k)
+            res = bott(tuple(twist - a for a in reversed(z)), x2, n)
+            if res is not None:
+                weight = tuple(w + shift for w in res.weight)
+                by_degree[sp.top_index(n, p) - res.degree][weight] += 1
+    return dict(by_degree)
+
+
+def test_ext_character_matches_a_summand_by_summand_reference():
+    # every valid p, p = 0 (an empty head) included, over layers whose
+    # window starts above summand size 0 (lo > 0) and at it
+    from loccoh.characters import SPACES
+    from loccoh.partitions import enumerate_box
+
+    checked = above_zero = 0
+    for space, top in ((SKEW, 6), (SYMM, 4)):
+        sp = SPACES[space]
+        for n in range(1, top + 1):
+            for p in range(n + 1):
+                k = sp.quotient_rank(p)
+                if k > n:
+                    continue
+                for head in range(3):
+                    for tail in enumerate_box(min(n - k, 2), head):
+                        x = (head,) * k + tail
+                        size = k * sp.twist(head, p) + sum(tail) + n * sp.det_shift(n)
+                        for bound in (2, 7, 12):
+                            if size < -bound:
+                                with pytest.raises(ValueError, match="increase the bound"):
+                                    ext_character(space, n, x, p, bound)
+                                continue
+                            gc = ext_character(space, n, x, p, bound)
+                            assert gc.by_degree == _reference_character(space, n, x, p, bound)
+                            checked += 1
+                            above_zero += size > bound
+    assert checked > 100 and above_zero > 50
+
+
+def test_witness_ext_bott_inverts_the_kernel_only_where_a_head_exists(monkeypatch):
+    # a layer whose tail has an entry outside the target is skipped before
+    # ``bott_preimage``, so every call it gets returns a head
+    real = extmult.bott_preimage
+    results = []
+
+    def counting(tail, target):
+        results.append(real(tail, target))
+        return results[-1]
+
+    monkeypatch.setattr(extmult, "bott_preimage", counting)
+    for case in ((SKEW, 12, 2, 6, None), (SYMM, 9, 5, 8, 2)):
+        results.clear()
+        assert witness_ext_bott(*case) == witness_ext_closed(*case)
+        assert results and None not in results, case
 
 
 def test_ext_character_degree_range():
