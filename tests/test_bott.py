@@ -103,16 +103,6 @@ def test_trivial_isotypic_examples():
     poly, alpha = trivial_isotypic((), 1, 3)
     assert poly == 1 and alpha == (0,)
 
-    # the 2 x 3 box at k = 2, n = 4: q^|beta| and dual(beta'), or zero once
-    # beta_1 exceeds k
-    zero = (LaurentPoly.zero(), None)
-    assert {beta: trivial_isotypic(beta, 2, 4) for beta in enumerate_box(2, 3)} == {
-        (3, 3): zero, (3, 2): zero, (3, 1): zero, (3,): zero,
-        (2, 2): (LaurentPoly.q(4), (-2, -2)), (2, 1): (LaurentPoly.q(3), (-1, -2)),
-        (2,): (LaurentPoly.q(2), (-1, -1)), (1, 1): (LaurentPoly.q(2), (0, -2)),
-        (1,): (LaurentPoly.q(1), (0, -1)), (): (LaurentPoly.q(0), (0, 0)),
-    }
-
 
 def test_wedge_isotypic_example():
     poly, alpha = wedge_isotypic((2, 2), 2, 4, 3)
@@ -128,6 +118,21 @@ def test_wedge_isotypic_precondition_violations():
         wedge_isotypic((1, 0), 2, 4, 3)  # beta_i < n-s
     with pytest.raises(ValueError):
         trivial_isotypic((1, 1, 1), 2, 4)  # too many parts
+
+
+def test_wedge_with_s_equal_n_is_trivial():
+    # the 2 x 3 box at k = 2, n = 4: q^|beta| and dual(beta'), or zero once
+    # beta_1 exceeds k; wedge_isotypic at s = n gives the trivial answer
+    zero = (LaurentPoly.zero(), None)
+    expected = {
+        (3, 3): zero, (3, 2): zero, (3, 1): zero, (3,): zero,
+        (2, 2): (LaurentPoly.q(4), (-2, -2)), (2, 1): (LaurentPoly.q(3), (-1, -2)),
+        (2,): (LaurentPoly.q(2), (-1, -1)), (1, 1): (LaurentPoly.q(2), (0, -2)),
+        (1,): (LaurentPoly.q(1), (0, -1)), (): (LaurentPoly.q(0), (0, 0)),
+    }
+    box = list(enumerate_box(2, 3))
+    assert {beta: wedge_isotypic(beta, 2, 4, 4) for beta in box} == expected
+    assert {beta: trivial_isotypic(beta, 2, 4) for beta in box} == expected
 
 
 def test_predicate_against_algorithm_small():
