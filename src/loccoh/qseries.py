@@ -3,8 +3,8 @@
 Coefficients are arbitrary-precision Python integers; exponents may be
 negative.  ``gauss`` evaluates the classical product formula on one list of
 integer coefficients, one factor (1-q^t)/(1-q^j) at a time with exact
-division, while ``gauss_enum`` builds the same polynomial by enumerating
-the partitions in a box, each once, as the b-subsets of range(a): listed
+division, while ``gauss_enum`` builds the same polynomial by counting
+the partitions in a box as the b-subsets of range(a): listed
 decreasingly, c_1 > ... > c_b, a subset gives the partition
 z_i = c_i - (b - i) with at most b parts, each at most a-b, one-to-one,
 with |z| = sum(c) - b(b-1)/2.  The two share no code, so they serve as
@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable
 from itertools import combinations
+from math import comb
 
 from .partitions import _check_ints
 
@@ -255,17 +256,34 @@ def gauss(a: int, b: int, variable_power: int = 1) -> LaurentPoly:
     return LaurentPoly._wrap({variable_power * e: v for e, v in enumerate(c) if v})
 
 
+# gauss_enum streams every b-subset of range(a) up to this many subsets
+# and counts by half-sums above it, near the crossover.  Per call, best of
+# 20, streamed against split, on a 2-vCPU host with Python 3.11: (10, 5),
+# 252 subsets, 55 against 75 us; (12, 6), 924, 140 against 130 us;
+# (14, 4), 1,001, 129 against 128 us; (16, 8), 12,870, 2.04 against
+# 0.41 ms; (20, 10), 184,756, 33.3 against 1.22 ms.
+_SPLIT_ABOVE = 1000
+
+
 def gauss_enum(a: int, b: int, variable_power: int = 1) -> LaurentPoly:
     """Gauss polynomial as the size generating function of partitions in the
     (a-b) x b box: sum of q^(v*|z|).  Independent oracle for ``gauss``.
 
-    The partitions are enumerated as the b-subsets c_1 > ... > c_b of
+    The partitions are counted as the b-subsets c_1 > ... > c_b of
     range(a), by z_i = c_i - (b - i), a bijection onto the partitions with
     at most b parts, each at most a-b (the conjugates of the box's, with
-    the same sizes), and |z| = sum(c) - b(b-1)/2; the subsets are streamed,
-    not stored.
+    the same sizes), and |z| = sum(c) - b(b-1)/2.  Up to ``_SPLIT_ABOVE``
+    subsets they are streamed, not stored, and summed one by one.  Above
+    it, with h = a // 2, each b-subset is a j-subset of range(h) and a
+    (b-j)-subset of range(h, a): for each j, one ``Counter`` of the
+    j-subset sums of the lower half and one of the (b-j)-subset sums of
+    the upper half are convolved into the counts, so the same subsets are
+    counted exactly without visiting each, and neither the product formula
+    nor a recurrence is used.
 
     >>> gauss_enum(4, 2) == gauss(4, 2)
+    True
+    >>> gauss_enum(20, 10) == gauss(20, 10)
     True
     """
     _check_ints(a=a, b=b, variable_power=variable_power)
@@ -274,5 +292,14 @@ def gauss_enum(a: int, b: int, variable_power: int = 1) -> LaurentPoly:
     if variable_power == 0:
         raise ValueError("variable power must be nonzero")
     low = b * (b - 1) // 2
-    counts = Counter(map(sum, combinations(range(a), b)))
+    if comb(a, b) <= _SPLIT_ABOVE:
+        counts = Counter(map(sum, combinations(range(a), b)))
+    else:
+        h = a // 2
+        counts = Counter()
+        for j in range(max(0, b - (a - h)), min(b, h) + 1):
+            upper = Counter(map(sum, combinations(range(h, a), b - j)))
+            for s, c in Counter(map(sum, combinations(range(h), j))).items():
+                for t, d in upper.items():
+                    counts[s + t] += c * d
     return LaurentPoly({variable_power * (e - low): c for e, c in counts.items()})

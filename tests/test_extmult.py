@@ -158,6 +158,7 @@ def test_enumeration_oracles_do_not_add_term_by_term(monkeypatch):
              (SYMM, 9, 5, 8, 2), (SYMM, 9, 8, 9, None), (SYMM, 8, 6, 8, None)]
     expected = [witness_ext_closed(*case) for case in cases]
     big_gauss = gauss(12, 6)
+    split_gauss = gauss(16, 8)  # above gauss_enum's switch: half-sums convolved
     real = LaurentPoly.__add__
     calls = []
 
@@ -167,6 +168,7 @@ def test_enumeration_oracles_do_not_add_term_by_term(monkeypatch):
 
     monkeypatch.setattr(LaurentPoly, "__add__", counting_add)
     assert gauss_enum(12, 6) == big_gauss and not calls
+    assert gauss_enum(16, 8) == split_gauss and not calls
     assert witness_ext_enum(SKEW, 12, 2, 6) == expected[0] and not calls
     for case, closed in zip(cases, expected):
         calls.clear()
