@@ -9,20 +9,20 @@ simple classes D_0, ..., D_p (D_s supported on the rank-s locus).
 whose q^j coefficient is the multiplicity of D_s inside the j-th local
 cohomology module.
 
-Two routes exist for skew/symmetric matrices: the closed-form display
-(``support_poly``) and assembly from the Ext witness multiplicities
-(``support_poly_from_ext``); the general case has only the closed form
-here, the Ext machinery for it being a separate development.
+Skew/symmetric polynomials are the Ext witness multiplicities of the simples
+the D_s stand for, from any witness route (``support_poly_from_ext``; it is
+the closed one in ``support_poly``); general ones have only their closed form.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
 from .characters import GENERAL, SKEW, SYMM, SPACES, SimpleLabel, Space, _check_rank
-from .extmult import _CLOSED_FORM_CACHE_SIZE, WITNESS_ROUTES
+from .extmult import _CLOSED_FORM_CACHE_SIZE, WITNESS_ROUTES, _witness_closed
 from .partitions import _check_ints
 from .qseries import LaurentPoly, gauss
 
@@ -116,6 +116,7 @@ def support_poly(space: str, n: int, p: int, m: int | None = None) -> SupportPol
     D_s * q^(1 + C(n-s+1,2) - C(p-s+2,2)) * (floor((n-s-1)/2) choose
     (p-s)/2) in q^-4.
 
+    The skew and symm terms are the ``closed`` route of ``support_poly_from_ext``.
     The arguments are validated on every call and the terms are then
     memoised per process; each call returns a fresh ``SupportPoly`` whose
     ``terms`` dict the caller may change (the polynomials are immutable and
@@ -128,24 +129,22 @@ def support_poly(space: str, n: int, p: int, m: int | None = None) -> SupportPol
 @lru_cache(maxsize=_CLOSED_FORM_CACHE_SIZE)
 def _support_terms(space: str, n: int, p: int, m: int | None) -> tuple[tuple[int, LaurentPoly], ...]:
     """The (s, polynomial) terms of ``support_poly`` for validated arguments."""
-    terms: dict[int, LaurentPoly] = {}
-    if space == GENERAL:
-        for s in range(p + 1):
-            base = (n - p) ** 2 + (n - s) * (m - n)
-            terms[s] = LaurentPoly.q(base) * gauss(n - s - 1, p - s, 2)
-    elif space == SKEW:
-        mm = n // 2
-        for s in range(p + 1):
-            if n % 2:
-                base = 2 * (mm - p) ** 2 + (mm - p) + 2 * (p - s)
-            else:
-                base = 2 * (mm - p) ** 2 - (mm - p)
-            terms[s] = LaurentPoly.q(base) * gauss(mm - 1 - s, p - s, 4)
-    else:
-        for s in range(p % 2, p + 1, 2):
-            base = 1 + comb(n - s + 1, 2) - comb(p - s + 2, 2)
-            terms[s] = LaurentPoly.q(base) * gauss((n - s - 1) // 2, (p - s) // 2, -4)
-    return tuple(terms.items())
+    if space != GENERAL:
+        return tuple(_assembly(SPACES[space], n, p, _witness_closed).items())
+    return tuple((s, LaurentPoly.q((n - p) ** 2 + (n - s) * (m - n)) * gauss(n - s - 1, p - s, 2))
+                 for s in range(p + 1))
+
+
+def _assembly(sp: Space, n: int, p: int, witness: Callable[..., LaurentPoly]) -> dict[int, LaurentPoly]:
+    """s -> the witness multiplicity of the simple ``sp.class_label(n, s)``,
+    for each s = 0..p where it is nonzero."""
+    terms = {}
+    for s in range(p + 1):
+        index, flavor = sp.class_label(n, s)
+        poly = witness(sp.name, n, p, index, flavor)
+        if not poly.is_zero:
+            terms[s] = poly
+    return terms
 
 
 def support_poly_from_ext(space: str, n: int, p: int, route: str = "closed") -> SupportPoly:
@@ -154,8 +153,9 @@ def support_poly_from_ext(space: str, n: int, p: int, route: str = "closed") -> 
     Each class D_s corresponds to the simple ``Space.class_label`` names,
     index floor(n/2)-s (skew) or n-s with a parity flavor (symm); its
     polynomial is the witness multiplicity inside Ext(J_p, S), computed by
-    the requested route (``closed``, ``enum`` or ``bott``).  Only skew/symm
-    spaces: the general-matrix Ext computation is out of scope here.
+    the requested route (``closed``, ``enum`` or ``bott``); ``support_poly``
+    is the ``closed`` one, and ``bott``, reading none of its memos, checks it
+    independently.  Only skew/symm spaces: general-matrix Ext is out of scope.
     """
     if space == GENERAL:
         raise ValueError("the Ext assembly route covers skew/symm only")
@@ -163,13 +163,7 @@ def support_poly_from_ext(space: str, n: int, p: int, route: str = "closed") -> 
     witness = WITNESS_ROUTES.get(route)
     if witness is None:
         raise ValueError(f"unknown route {route!r}; expected one of {', '.join(WITNESS_ROUTES)}")
-    terms: dict[int, LaurentPoly] = {}
-    for s in range(p + 1):
-        index, flavor = sp.class_label(n, s)
-        poly = witness(space, n, p, index, flavor)
-        if not poly.is_zero:
-            terms[s] = poly
-    return SupportPoly(space, n, p, None, terms)
+    return SupportPoly(space, n, p, None, _assembly(sp, n, p, witness))
 
 
 def lcd(space: str, n: int, p: int, m: int | None = None) -> int:

@@ -273,20 +273,26 @@ def check_ext_triple_agreement(max_n: int | None = None, bound: int | None = Non
 
 
 def check_assembly_agreement(max_n: int | None = None, bound: int | None = None) -> Check:
-    """Main closed forms against the Ext assembly, plus the forced
-    single-term shape at p=0 for all three spaces."""
+    """Skew/symm closed forms against the ``bott`` route of the Ext assembly,
+    whose top degree must be ``lcd_closed_form``; for all three spaces, the
+    forced single-term shape at p=0 and, at every p, D_p alone in the codimension."""
     skew_top = 8 if max_n is None else max_n
     symm_top = 7 if max_n is None else max_n
-    for space, n, p, _ in _ranks((SKEW, skew_top), (SYMM, symm_top)):
-        if support_poly(space, n, p).terms != support_poly_from_ext(space, n, p).terms:
-            return False, {"space": space, "n": n, "p": p}, "assembly"
     for space, n, p, m in _ranks((GENERAL, 10), (SKEW, skew_top), (SYMM, symm_top)):
-        if p:
-            continue
-        hp = support_poly(space, n, 0, m)
-        expected = LaurentPoly.q(ambient_dimension(space, n, m))
-        if set(hp.terms) != {0} or hp.terms[0] != expected:
+        hp = support_poly(space, n, p, m)
+        if not p and hp.terms != {0: LaurentPoly.q(ambient_dimension(space, n, m))}:
             return False, _where(space, n, 0, m), "p=0 shape"
+        # the rank-p locus has the codimension of matrices p (skew: 2p) rows smaller
+        codim = ambient_dimension(space, n - (2 * p if space == SKEW else p), m and m - p)
+        if hp.terms.get(p) != LaurentPoly.q(codim) or min(
+                min(t.exponents()) for t in hp.terms.values()) < codim:
+            return False, _where(space, n, p, m), "bottom term"
+        if space != GENERAL:
+            via_bott = support_poly_from_ext(space, n, p, "bott")
+            if hp.terms != via_bott.terms:
+                return False, _where(space, n, p, m), "assembly"
+            if via_bott.top_degree() != lcd_closed_form(space, n, p):
+                return False, {**_where(space, n, p, m), "top_degree": via_bott.top_degree()}, "lcd"
     return True, None, f"skew n<={skew_top}, symm n<={symm_top}, general m,n<=10"
 
 

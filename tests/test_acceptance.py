@@ -60,8 +60,9 @@ def test_criterion_4_triple_route_agreement():
 
 
 def test_criterion_5_assembly():
-    # closed displays == ext assembly on the same range; p=0 always a
-    # single class with the ambient-dimension exponent; < 1 min
+    # closed displays == Bott-route ext assembly on the same range, whose
+    # top degree is the lcd formula; p=0 always a single class with the
+    # ambient-dimension exponent, and D_p alone in the codimension; < 1 min
     _criterion(5, "main-display assembly", check_assembly_agreement, 60.0)
 
 

@@ -1,11 +1,14 @@
 """The main closed forms, the Ext assembly, dimensions and top supports."""
 
+import inspect
+import textwrap
 from math import comb
 
 import pytest
 
-from loccoh import cohomology, extmult
-from loccoh.characters import SKEW, SYMM, SimpleLabel
+import loccoh.verify as verify_mod
+from loccoh import characters, cohomology, extmult
+from loccoh.characters import SKEW, SYMM, SimpleLabel, Space
 from loccoh.cohomology import (
     GENERAL,
     ambient_dimension,
@@ -15,7 +18,7 @@ from loccoh.cohomology import (
     support_poly_from_ext,
     top_support,
 )
-from loccoh.qseries import LaurentPoly
+from loccoh.qseries import LaurentPoly, gauss
 
 
 def test_symm_rank_one_locus():
@@ -252,16 +255,6 @@ def test_non_int_arguments_rejected_by_name(fn, args, name):
         fn(*args)
 
 
-@pytest.mark.parametrize("args,name", [
-    ((SYMM, True, 0), "n"),
-    ((SKEW, 5.0, 1), "n"),
-    ((SKEW, 5, True), "p"),
-])
-def test_assembly_rejects_non_int_arguments_by_name(args, name):
-    with pytest.raises(ValueError, match=f"^{name} must be an int"):
-        support_poly_from_ext(*args)
-
-
 def test_assembly_rejects_an_unknown_route():
     with pytest.raises(ValueError, match="unknown route 'fast'"):
         support_poly_from_ext(SKEW, 5, 1, "fast")
@@ -297,19 +290,70 @@ def test_validation_runs_before_the_cache():
             lcd(*bad)
 
 
-def test_the_two_routes_keep_separate_caches():
+def test_support_poly_reads_the_closed_witnesses_and_bott_reads_neither_memo():
     cases = [(SKEW, n, p) for n in range(2, 10) for p in range(n // 2)]
     cases += [(SYMM, n, p) for n in range(1, 8) for p in range(n)]
+    memos = (cohomology._support_terms, extmult._witness_closed)
+    for memo in memos:
+        memo.cache_clear()
+    for space, n, p in cases:  # cold: each term is the memoised witness polynomial itself
+        terms = support_poly(space, n, p).terms
+        labels = {s: _reference_label(space, n, s) for s in range(p + 1)}
+        witnesses = {s: extmult._witness_closed(space, n, p, label.s, label.flavor)
+                     for s, label in labels.items()}
+        assert terms == {s: poly for s, poly in witnesses.items() if not poly.is_zero}
+        assert all(terms[s] is witnesses[s] for s in terms)
+    before = [memo.cache_info() for memo in memos]
+    for args in cases:
+        support_poly_from_ext(*args, "bott")
+    assert [memo.cache_info() for memo in memos] == before
+
+
+def _display(space, n, p):
+    # the paper's display, as support_poly's docstring states it
+    terms = {}
+    if space == SKEW:
+        mm = n // 2
+        for s in range(p + 1):
+            if n % 2:
+                exponent = 2 * (mm - p) ** 2 + (mm - p) + 2 * (p - s)
+            else:
+                exponent = 2 * (mm - p) ** 2 - (mm - p)
+            terms[s] = LaurentPoly.q(exponent) * gauss(mm - 1 - s, p - s, 4)
+    else:
+        for s in range(p, -1, -2):
+            exponent = 1 + comb(n - s + 1, 2) - comb(p - s + 2, 2)
+            terms[s] = LaurentPoly.q(exponent) * gauss((n - s - 1) // 2, (p - s) // 2, -4)
+    return terms
+
+
+def test_skew_and_symm_terms_are_the_papers_display():
+    for space, n, p in _keys(24):
+        terms = support_poly(space, n, p).terms
+        display = _display(space, n, p)
+        assert sorted(terms) == sorted(display), (space, n, p)
+        for s, poly in display.items():
+            assert terms[s] == poly, (space, n, p, s)
+
+
+def test_assembly_check_kills_the_symm_flavor_swap(monkeypatch):
+    # with the flavors of class_label swapped, every symm class below index
+    # n reads a witness of the wrong parity, which is zero on the closed and
+    # the Bott route alike, so the two assemblies still agree; only the
+    # bottom term D_p, missing at symm n=2, p=1, shows it
+    source = textwrap.dedent(inspect.getsource(Space.class_label))
+    anchor = "else 2 - index % 2"
+    assert source.count(anchor) == 1
+    namespace = dict(vars(characters))
+    exec(source.replace(anchor, "else 1 + index % 2"), namespace)
+    monkeypatch.setattr(Space, "class_label", namespace["class_label"])
     cohomology._support_terms.cache_clear()
-    extmult._witness_closed.cache_clear()
-    for args in cases:  # both cold: the Ext route fills only the witness cache
-        assert support_poly_from_ext(*args, "closed").terms == support_poly(*args).terms
-    assert cohomology._support_terms.cache_info().hits == 0
-    assert extmult._witness_closed.cache_info().hits == 0
-    for args in cases:  # both warm
-        assert support_poly_from_ext(*args, "closed").terms == support_poly(*args).terms
-    assert cohomology._support_terms.cache_info().hits == len(cases)
-    assert extmult._witness_closed.cache_info().misses == extmult._witness_closed.cache_info().hits
+    try:
+        passed, counterexample, params = verify_mod.check_assembly_agreement(max_n=4)
+    finally:
+        cohomology._support_terms.cache_clear()
+    assert not passed and params == "bottom term"
+    assert counterexample == {"space": SYMM, "n": 2, "p": 1}
 
 
 def test_caches_are_bounded():
