@@ -77,6 +77,9 @@ class SupportPoly:
 
     def top_degree(self) -> int:
         """Largest cohomological degree with a nonzero class."""
+        if not self.terms:
+            raise ValueError(f"no class D_s occurs for {self.space} n={self.n} p={self.p}, "
+                             "but every valid rank has one")
         return max(t.top_degree() for t in self.terms.values())
 
     def top_labels(self) -> list[int]:

@@ -6,7 +6,9 @@ ranges and can be scaled with ``max_n`` / ``bound``; the ranks and labels in
 them come from the ``Space`` record and ``all_labels``, through ``_ranks``
 and ``_witness_cases``, so a check has one loop body for all its spaces.
 With ``threads`` above 1 the runner runs independent checks in that many
-worker processes; output order is always declaration order.
+worker processes; output order is always declaration order.  A check that
+raises is a FAIL whose counterexample names the exception, and the suite
+runs on.
 """
 
 from __future__ import annotations
@@ -394,7 +396,11 @@ def _run_one(item: tuple[str, int | None, int | None]) -> VerifyReport:
     name, max_n, bound = item
     fn = CHECKS[name][0]
     t0 = time.perf_counter()
-    passed, counterexample, params = fn(max_n=max_n, bound=bound)
+    try:
+        passed, counterexample, params = fn(max_n=max_n, bound=bound)
+    except Exception as exc:  # a raising check is a FAIL, and the suite runs on
+        passed, counterexample, params = False, {
+            "exception": type(exc).__name__, "message": str(exc)}, "raised"
     return VerifyReport(name, params, passed, counterexample, time.perf_counter() - t0)
 
 

@@ -1,9 +1,6 @@
 """The Bott algorithm and its closed-form isotypic predicates."""
 
-import importlib
-import inspect
 import random
-import textwrap
 from collections import Counter
 from itertools import combinations
 
@@ -23,9 +20,6 @@ from loccoh.bott import (
 )
 from loccoh.partitions import enumerate_box, enumerate_weights, size
 from loccoh.qseries import LaurentPoly
-
-# the package exports a function named bott, which hides the module
-bott_module = importlib.import_module("loccoh.bott")
 
 
 def test_symmetric_square_of_subbundle_on_p2():
@@ -170,129 +164,6 @@ def test_kernel_batch_matches_bott():
                     assert single == BottCohomology(degree, unshifted(res[1]))
 
 
-def test_sweep_runs_the_shipped_predicates(monkeypatch):
-    # a wrong alpha from the shipped wedge_isotypic at s = n, the trivial
-    # weight, fails the sweep
-    real = verify_mod.wedge_isotypic
-
-    def wrong_alpha(beta, k, n, s):
-        poly, alpha = real(beta, k, n, s)
-        if s == n and alpha is not None:
-            alpha = (alpha[0] + 1,) + alpha[1:]
-        return poly, alpha
-
-    monkeypatch.setattr(verify_mod, "wedge_isotypic", wrong_alpha)
-    passed, counterexample, params = verify_mod.check_bott_predicate_agreement(max_n=3)
-    assert not passed and params == "n<=3"
-    assert counterexample == {
-        "n": 1, "k": 1, "alpha": [1], "beta": [], "predicate_s": 1, "algorithm_s": None,
-    }
-
-
-def test_sweep_reads_the_predicted_degree(monkeypatch):
-    # a wrong degree in the wedge polynomial fails the sweep
-    real = verify_mod.wedge_isotypic
-
-    def wrong_degree(beta, k, n, s):
-        poly, alpha = real(beta, k, n, s)
-        return poly * LaurentPoly.q(1), alpha
-
-    monkeypatch.setattr(verify_mod, "wedge_isotypic", wrong_degree)
-    passed, counterexample, params = verify_mod.check_bott_predicate_agreement(max_n=3)
-    assert not passed and params == "n<=3"
-    assert set(counterexample) == {"n", "k", "alpha", "beta", "degree", "expected_degree"}
-    assert counterexample["expected_degree"] == counterexample["degree"] + 1
-
-
-def test_sweep_counts_nonzero_outcomes(monkeypatch):
-    # a kernel that never reports a repeated entry hits no wrong target, so
-    # only the count of nonzero outcomes per beta can catch it; the sweep
-    # reaches the kernel through bott_span_summary, so the module's kernel
-    # is patched
-    def never_none(tail, heads):
-        for head in heads:
-            yield 0, tuple(sorted(head + tail, reverse=True))
-
-    monkeypatch.setattr(bott_module, "bott_kernel", never_none)
-    passed, counterexample, params = verify_mod.check_bott_predicate_agreement(max_n=3)
-    assert not passed and params == "n<=3"
-    # n=2, k=1, beta=(3,) comes first: all 9 heads in [-3, 5] count, 8 miss
-    # the tail (3,)
-    assert counterexample == {"n": 2, "k": 1, "beta": [3], "nonzero": 9, "expected_nonzero": 8}
-
-
-def test_sweep_checks_every_outcome_degree(monkeypatch):
-    # a kernel that adds 1 to the degree of each head whose first entry lies
-    # more than 3 above the tail's first entry keeps every nonzero count and
-    # reaches every target in the right degree at n <= 3, so only the
-    # per-beta degree tally can catch it
-    def shifted_degree(tail, heads):
-        isdisjoint = frozenset(tail).isdisjoint
-        above = bott_module._CountAbove(tail).__getitem__
-        for head in heads:
-            if isdisjoint(head):
-                yield (sum(map(above, head)) + (bool(tail) and head[0] > tail[0] + 3),
-                       tuple(sorted(head + tail, reverse=True)))
-            else:
-                yield None
-
-    monkeypatch.setattr(bott_module, "bott_kernel", shifted_degree)
-    passed, counterexample, params = verify_mod.check_bott_predicate_agreement(max_n=3)
-    assert not passed and params == "n<=3"
-    # n=2, k=1, beta=(1,) comes first: of the heads in [-3, 5] off the tail
-    # (1,), the four above it have degree 0, but (5,) now reads 1
-    assert counterexample == {
-        "n": 2, "k": 1, "beta": [1], "degree": 0, "count": 3, "expected_count": 4,
-    }
-
-
-def test_sweep_checks_the_heads_covered(monkeypatch):
-    # a summary that drops every prefix group whose last entry lies in the
-    # tail at k = 5 loses only heads that meet the tail, so every nonzero
-    # count, degree tally and target stays; only the number of heads
-    # covered catches it
-    source = textwrap.dedent(inspect.getsource(bott_module.bott_span_summary))
-    anchor = "for i in range(k - m - 1, len(span) - m))"
-    assert source.count(anchor) == 1
-    mutant = source.replace(anchor, anchor[:-1] + " if not (k == 5 and span[i] in tail))")
-    namespace = dict(vars(bott_module))
-    exec(mutant, namespace)
-    monkeypatch.setattr(verify_mod, "bott_span_summary", namespace["bott_span_summary"])
-    passed, counterexample, params = verify_mod.check_bott_predicate_agreement(max_n=6)
-    assert not passed and params == "n<=6"
-    # n=6, k=5, beta=(7,) is the first beta with a tail entry a prefix can
-    # end in: the group ending in 7 held 6 * comb(14, 3) = 2184 heads
-    assert counterexample == {
-        "n": 6, "k": 5, "beta": [7], "covered": 18165, "expected_covered": 20349,
-    }
-
-
-def test_sweep_runs_the_kernel_on_full_heads(monkeypatch):
-    # the summary runs the kernel only on prefixes and three-entry suffixes,
-    # so a kernel that adds 1 to the degree of every head of five or more
-    # entries keeps every count, tally and target of the summary; only
-    # bott() on a full head reaches it
-    def long_head(tail, heads):
-        isdisjoint = frozenset(tail).isdisjoint
-        above = bott_module._CountAbove(tail).__getitem__
-        for head in heads:
-            if isdisjoint(head):
-                yield (sum(map(above, head)) + (len(head) >= 5),
-                       tuple(sorted(head + tail, reverse=True)))
-            else:
-                yield None
-
-    monkeypatch.setattr(bott_module, "bott_kernel", long_head)
-    passed, counterexample, params = verify_mod.check_bott_predicate_agreement(max_n=5)
-    assert not passed and params == "n<=5"
-    # n=5, k=5 is the first rank with five-entry heads; its one beta is ()
-    weight = [0, 0, -1, -1, -1]
-    assert counterexample == {
-        "n": 5, "k": 5, "beta": [], "alpha": weight,
-        "summary": {"degree": 0, "weight": weight}, "bott": {"degree": 1, "weight": weight},
-    }
-
-
 def test_span_summary_matches_the_drained_kernel():
     # bott_span_summary against the kernel drained over every k-subset of
     # contiguous and non-contiguous spans of length 0-12: k <= 3 runs the
@@ -357,20 +228,3 @@ def test_preimage_inverts_the_kernel():
         assert bott_preimage(tail, target) == (hits[0] if hits else None), (tail, target)
         found += bool(hits)
     assert 100 < found < 300
-
-
-def test_sweep_ties_the_preimage_to_the_kernel(monkeypatch):
-    # a preimage with a wrong degree, or one that drops a head, fails the
-    # sweep with the preimage keys
-    real = verify_mod.bott_preimage
-
-    def wrong_degree(tail, target):
-        res = real(tail, target)
-        return None if res is None else (res[0] + 1, res[1])
-
-    for broken in (wrong_degree, lambda tail, target: None):
-        monkeypatch.setattr(verify_mod, "bott_preimage", broken)
-        passed, counterexample, params = verify_mod.check_bott_predicate_agreement(max_n=3)
-        assert not passed and params == "n<=3"
-        assert set(counterexample) == {"n", "k", "beta", "s", "preimage", "kernel"}
-        assert counterexample["kernel"] is not None

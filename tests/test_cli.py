@@ -128,6 +128,20 @@ def test_verify_reports_failures(capsys, monkeypatch):
     assert "FAIL  gauss-identities" in out and '"witness": 1' in out
 
 
+def test_verify_reports_a_raising_check_and_runs_on(capsys, monkeypatch):
+    def raising(max_n=None, bound=None):
+        raise RuntimeError("injected")
+
+    monkeypatch.setitem(verify_mod.CHECKS, "assembly-agreement", (raising, "loccoh"))
+    code, out = run(capsys, "verify", "--suite", "loccoh", "--max-n", "2")
+    assert code == 1 and [line.rsplit("  (", 1)[0] for line in out.splitlines()] == [
+        "FAIL  assembly-agreement  [raised]",
+        '      counterexample: {"exception": "RuntimeError", "message": "injected"}',
+        "PASS  lcd-closed-forms  [all spaces, n,m <= 2, every valid p]",
+        "1/2 checks passed",
+    ]
+
+
 def test_output_determinism(capsys):
     _, first = run(capsys, "hpq", "--space", "symm", "--n", "5", "--p", "3")
     _, second = run(capsys, "hpq", "--space", "symm", "--n", "5", "--p", "3")

@@ -1,14 +1,11 @@
 """The main closed forms, the Ext assembly, dimensions and top supports."""
 
-import inspect
-import textwrap
 from math import comb
 
 import pytest
 
-import loccoh.verify as verify_mod
-from loccoh import characters, cohomology, extmult
-from loccoh.characters import SKEW, SYMM, SimpleLabel, Space
+from loccoh import cohomology, extmult
+from loccoh.characters import SKEW, SYMM, SimpleLabel
 from loccoh.cohomology import (
     GENERAL,
     ambient_dimension,
@@ -334,26 +331,6 @@ def test_skew_and_symm_terms_are_the_papers_display():
         assert sorted(terms) == sorted(display), (space, n, p)
         for s, poly in display.items():
             assert terms[s] == poly, (space, n, p, s)
-
-
-def test_assembly_check_kills_the_symm_flavor_swap(monkeypatch):
-    # with the flavors of class_label swapped, every symm class below index
-    # n reads a witness of the wrong parity, which is zero on the closed and
-    # the Bott route alike, so the two assemblies still agree; only the
-    # bottom term D_p, missing at symm n=2, p=1, shows it
-    source = textwrap.dedent(inspect.getsource(Space.class_label))
-    anchor = "else 2 - index % 2"
-    assert source.count(anchor) == 1
-    namespace = dict(vars(characters))
-    exec(source.replace(anchor, "else 1 + index % 2"), namespace)
-    monkeypatch.setattr(Space, "class_label", namespace["class_label"])
-    cohomology._support_terms.cache_clear()
-    try:
-        passed, counterexample, params = verify_mod.check_assembly_agreement(max_n=4)
-    finally:
-        cohomology._support_terms.cache_clear()
-    assert not passed and params == "bottom term"
-    assert counterexample == {"space": SYMM, "n": 2, "p": 1}
 
 
 def test_caches_are_bounded():
