@@ -447,8 +447,8 @@ def filtration_check(space: str, n: int, p: int, bound: int) -> FiltrationReport
                 mismatch={
                     "layer": r,
                     "partition": list(lam),
-                    "quotient_character": sorted(map(list, expected)),
-                    "cyclic_character": sorted(map(list, got)),
+                    "quotient_character": sorted(map(list, expected.elements())),
+                    "cyclic_character": sorted(map(list, got.elements())),
                 },
             )
     full = space_character(space, n, bound)
@@ -457,8 +457,8 @@ def filtration_check(space: str, n: int, p: int, bound: int) -> FiltrationReport
             False, space, n, p, bound, layers,
             mismatch={
                 "layer": None,
-                "union_of_layers": sorted(map(list, union_layers)),
-                "ring_character": sorted(map(list, full)),
+                "union_of_layers": sorted(map(list, union_layers.elements())),
+                "ring_character": sorted(map(list, full.elements())),
             },
         )
     return FiltrationReport(True, space, n, p, bound, layers)

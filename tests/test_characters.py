@@ -195,15 +195,6 @@ def test_member_weight_set_structure():
         assert all((lam[i] - s) % 2 == 0 for i in range(s, n))
 
 
-def test_witness_exclusivity_small():
-    for n in range(1, 7):
-        for space in (SKEW, SYMM):
-            labels = all_labels(space, n)
-            for L in labels:
-                w = witness_weight(L)
-                assert [Lp for Lp in labels if member(Lp, w)] == [L]
-
-
 def test_schur_dimension_examples():
     assert schur_dimension((5, 5, 4)) == 3
     assert schur_dimension((0, 0, 0, 0)) == 1
@@ -450,21 +441,6 @@ def test_filtration_quotients_are_ideal_suffix_differences(monkeypatch, space, n
             report = filtration_check(space, n, p, bound)
         assert report.mismatch["layer"] == r
         assert report.mismatch["quotient_character"] == sorted(map(list, quotient))
-
-
-def test_filtration_check_reports_a_dropped_weight(monkeypatch):
-    space, n, p, bound, r = SYMM, 3, 1, 10, 4
-    lam = filtration_layers(space, n, p, bound)[r]
-    expected = layer_character(space, n, doubled(lam), p, bound)
-    dropped = _dropping_one_weight(monkeypatch, space, n, p, bound, r)
-    report = filtration_check(space, n, p, bound)
-    assert not report.ok
-    assert report.mismatch == {
-        "layer": r,
-        "partition": list(lam),
-        "quotient_character": sorted(map(list, expected)),
-        "cyclic_character": sorted(map(list, expected - Counter({dropped: 1}))),
-    }
 
 
 def test_filtration_check_places_every_ring_partition(monkeypatch):

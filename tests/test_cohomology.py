@@ -140,19 +140,6 @@ def test_lcd_examples():
     assert lcd(GENERAL, 3, 1, 4) == 9
 
 
-def test_lcd_closed_forms_sweep():
-    for n in range(1, 8):
-        for m in range(n, 8):
-            for p in range(n):
-                assert lcd(GENERAL, n, p, m) == lcd_closed_form(GENERAL, n, p, m)
-    for n in range(2, 9):
-        for p in range(n // 2):
-            assert lcd(SKEW, n, p) == lcd_closed_form(SKEW, n, p)
-    for n in range(1, 9):
-        for p in range(n):
-            assert lcd(SYMM, n, p) == lcd_closed_form(SYMM, n, p)
-
-
 def test_top_support():
     assert top_support(SYMM, 5, 1) == [1]
     assert top_support(SYMM, 4, 2) == [0]

@@ -106,30 +106,6 @@ def test_closed_route_memoises_behind_validation():
         witness_ext_closed(SKEW, 3.0, 0, 1)
 
 
-def test_triple_agreement_small_grid():
-    for n in range(2, 7):
-        m = n // 2
-        for p in range(m):
-            for s in range(m + 1):
-                a = witness_ext_closed(SKEW, n, p, s)
-                assert a == witness_ext_enum(SKEW, n, p, s) == witness_ext_bott(SKEW, n, p, s)
-    for n in range(1, 6):
-        for p in range(n):
-            for s in range(n - p, n + 1):
-                for j in ((1, 2) if s < n else (None,)):
-                    a = witness_ext_closed(SYMM, n, p, s, j)
-                    assert a == witness_ext_enum(SYMM, n, p, s, j)
-                    assert a == witness_ext_bott(SYMM, n, p, s, j)
-
-
-def test_positivity():
-    for n in range(2, 8):
-        m = n // 2
-        for p in range(m):
-            for s in range(m + 1):
-                assert all(c > 0 for _, c in witness_ext_closed(SKEW, n, p, s).pairs())
-
-
 def test_forced_top_value_unique(monkeypatch):
     # the Bott route sweeps the top value up to the forced one plus 2:
     # widening that window (+6) cannot pick up extra contributions, and

@@ -6,6 +6,7 @@ rows to the test), so a standalone script can apply ``MUTANTS`` too."""
 
 from __future__ import annotations
 
+import ast
 import functools
 import importlib
 import inspect
@@ -35,6 +36,12 @@ PREIMAGE_DEGREE = "return sum(map(_CountAbove(tail).__getitem__, head)), head"
 WEDGE = "return LaurentPoly.q(size(beta)), alpha"
 AT_N1 = {"n": 1, "k": 1}
 LONG_HEAD = [0, 0, -1, -1, -1]
+GAUSS, TRIPLE, LCD = "gauss-identities", "ext-triple-agreement", "lcd-closed-forms"
+EXAMPLE, NONDEGENERACY, FILTRATION = "example-reproduction", "nondegeneracy-witness", "filtration"
+QS, EXT, CO, CH = (f"loccoh.{m}" for m in ("qseries", "extmult", "cohomology", "characters"))
+SKEW_N2 = {"space": "skew", "n": 2, "p": 0, "s": 1}
+LAYER_YS = "_partitions_up_to((bound - sum(xp)) // 2, p)"
+LAYER_AT_N2 = {"layer": 0, "partition": [], "quotient_character": [[], [2], [4]]}
 
 MUTANTS = (
     # the sweep reads its predicted alphas and degrees off wedge_isotypic;
@@ -94,6 +101,53 @@ MUTANTS = (
     Mutant("lcd-skew-p1-plus-one", "loccoh.cohomology", "lcd_closed_form",
            "comb(2 * p + 2, 2) + 1", "comb(2 * p + 2, 2) + 1 + (p == 1)", ASSEMBLY,
            {"max_n": 6}, "lcd", {"space": "skew", "n": 4, "p": 1, "top_degree": 1}),
+    Mutant("gauss-enum-shifted", QS, "gauss_enum", "b * (b - 1) // 2", "b * (b + 1) // 2", GAUSS,
+           {"max_n": 3}, "a<=3", {"a": 1, "b": 1, "v": 1, "closed": [(0, 1)], "enum": [(-1, 1)]}),
+    Mutant("gauss-zero-above-half", QS, "gauss", "b > a:", "2 * b > a + 1:", GAUSS,
+           {"max_n": 3}, "a<=3", {"a": 2, "b": 0, "v": 1, "identity": "symmetry"}),
+    # without the `width and` guard the box never ends
+    Mutant("box-empty-one-column", "loccoh.partitions", "enumerate_box", "if width else",
+           "if width and (width > 1 or rows < 2) else", GAUSS, {"max_n": 4}, "a<=4",
+           {"a": 3, "b": 1, "v": 1, "identity": "complement"}),
+    # a box's size distribution is palindromic, so only a wrong reader fails here
+    Mutant("coefficient-at-zero-plus-one", QS, "LaurentPoly.coefficient", "get(exponent, 0)",
+           "get(exponent, 0) + (exponent == 0)", GAUSS, {"max_n": 3}, "a<=3",
+           {"a": 2, "b": 1, "identity": "palindromic"}),
+    Mutant("enum-skew-counts-twice", EXT, "witness_ext_enum", "comb(2 * p, 2) - sum(beta)] += 1",
+           "comb(2 * p, 2) - sum(beta)] += 2", TRIPLE, {"max_n": 3}, "skew n<=3, symm n<=3",
+           {**SKEW_N2, "flavor": None, "closed": [(1, 1)], "enum": [(1, 2)], "bott": [(1, 1)]}),
+    # the enumeration route only counts, so only a wrong reader fails positivity
+    Mutant("pairs-negated", QS, "LaurentPoly.pairs", "sorted(self._c.items())",
+           "sorted((e, -c) for e, c in self._c.items())", TRIPLE, {"max_n": 3}, "positivity",
+           {**SKEW_N2, "poly": [(1, -1)]}),
+    Mutant("lcd-general-plus-one", CO, "lcd_closed_form", "(p + 1) ** 2 + 1", "(p + 1) ** 2 + 2",
+           LCD, {"max_n": 3}, "n,m<=3", {"space": "general", "n": 1, "m": 1, "p": 0}),
+    Mutant("top-support-adds-n", CO, "top_support", ".top_labels()", ".top_labels() + [n]", LCD,
+           {"max_n": 4}, "n<=4", {"space": "symm", "n": 3, "p": 1, "top_support": [1, 3]}),
+    Mutant("ext-character-counts-twice", EXT, "ext_character", "offsets))] += 1",
+           "offsets))] += 2", EXAMPLE, {}, "D=14", {"ext4": [([5, 5, 4], 2)]}),
+    Mutant("schur-dimension-plus-one", CH, "schur_dimension", "return num // den",
+           "return num // den + 1", EXAMPLE, {}, "D=14", {"dim": 4}),
+    Mutant("member-skew-below-2s", CH, "member_skew", "if lam[2 * s] != 2 * s:",
+           "if lam[2 * s] < 2 * s:", "witness-exclusivity", {"max_n": 4}, "n<=4",
+           {"n": 3, "space": "skew", "L": "SimpleLabel(space='skew', n=3, s=1, flavor=None)",
+            "Lprime": "SimpleLabel(space='skew', n=3, s=0, flavor=None)", "witness": [2, 2, 2]}),
+    Mutant("witness-skew-odd-base-plus-one", EXT, "_witness_closed", "(2 * s if",
+           "(2 * s + 1 if", "skew-exponent-parity", {"max_n": 4}, "n<=4",
+           {"n": 3, "p": 0, "s": 1, "exponents": [4]}),
+    Mutant("ext-character-drops-554", EXT, "ext_character", "res is not None:",
+           "res and res[1] != (3, 2, 0):", NONDEGENERACY, {}, "D=14", {"missing": [5, 5, 4]}),
+    Mutant("member-symm-upper-bound-plus-two", CH, "member_symm", "lam[s] > s:",
+           "lam[s] > s + 2:", NONDEGENERACY, {}, "7 labels", {"accepted_by": 5}),
+    Mutant("layer-drops-y-1", CH, "layer_character", LAYER_YS,
+           f"[y for y in {LAYER_YS} if y != (1,)]", FILTRATION, {"max_n": 2, "bound": 4},
+           "symm n=2 p=1 D=4", {**LAYER_AT_N2, "cyclic_character": [[], [4]]}),
+    Mutant("layer-counts-y-1-twice", CH, "layer_character", LAYER_YS,
+           f"[*{LAYER_YS}, *[(1,)] * (p > 0)]", FILTRATION, {"max_n": 2, "bound": 4},
+           "symm n=2 p=1 D=4", {**LAYER_AT_N2, "cyclic_character": [[], [2], [2], [4]]}),
+    Mutant("ring-extra-weight", CH, "space_character", "bound))", "bound)) + Counter({(99,): 1})",
+           FILTRATION, {"max_n": 1, "bound": 2}, "symm n=1 p=0 D=2",
+           {"layer": None, "union_of_layers": [[], [2]], "ring_character": [[], [2], [99]]}),
 )
 
 # the memos a mutant can poison, held before any patch replaces them
@@ -142,11 +196,40 @@ def pytest_generate_tests(metafunc):
         metafunc.parametrize("mutant", MUTANTS, ids=[m.id for m in MUTANTS])
 
 
+_ran: dict[str, set[int]] = {}  # row id -> the lines of verify.py its patched check ran
+
+
+def _run_patched(mutant: Mutant):
+    lines = _ran[mutant.id] = set()
+
+    def local(frame, event, arg):
+        lines.add(frame.f_lineno)
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, *_: local if frame.f_code.co_filename == verify.__file__ else None)
+    try:
+        with applied(mutant):
+            return verify.CHECKS[mutant.check][0](**mutant.kwargs)
+    finally:
+        sys.settrace(previous)
+
+
 def test_mutant_fails_its_check(mutant):
     assert _passes_unpatched(mutant.check, tuple(sorted(mutant.kwargs.items())))
-    with applied(mutant):
-        got = verify.CHECKS[mutant.check][0](**mutant.kwargs)
-    assert got == (False, mutant.counterexample, mutant.where)
+    assert _run_patched(mutant) == (False, mutant.counterexample, mutant.where)
+
+
+def test_every_verify_fail_site_has_a_row():
+    for mutant in MUTANTS:
+        if mutant.id not in _ran:  # a -k selection skipped its row
+            _run_patched(mutant)
+    ran = set().union(*_ran.values())
+    sites = [range(node.lineno, node.end_lineno + 1)
+             for node in ast.walk(ast.parse(inspect.getsource(verify)))
+             if isinstance(node, ast.Return) and ast.unparse(node).startswith("return (False,")]
+    assert len(sites) >= 25
+    assert [site for site in sites if ran.isdisjoint(site)] == []
 
 
 def test_a_raising_check_is_a_fail_and_the_suite_runs_on():
