@@ -9,11 +9,11 @@ the algorithm, which works on shifted entries gamma + delta and batches
 many alphas against one beta.  ``bott_span_summary`` sums up the kernel's
 outcomes over every k-subset of a span (the number of heads, the degree
 tally of the nonzero outcomes and the targets reached) from kernel runs on
-prefixes and on suffixes only: a head splits into a prefix and its last
-three entries, and its outcome is the two pieces' outcomes joined (see
-there for the rule).  ``bott_preimage`` inverts the kernel: given the beta
-block and a sorted outcome, it names the one alpha block that reaches it,
-with its degree, without trying any other.
+prefixes and on suffixes only: a head splits into a prefix and a suffix
+of half its entries, and its outcome is the two pieces' outcomes joined
+(see there for the rule).  ``bott_preimage`` inverts the kernel: given the
+beta block and a sorted outcome, it names the one alpha block that reaches
+it, with its degree, without trying any other.
 
 ``trivial_isotypic`` and ``wedge_isotypic`` are the closed-form answers for
 when that cohomology contributes a trivial summand, respectively a
@@ -92,16 +92,6 @@ def bott_kernel(
             yield None
 
 
-# Heads split into a prefix and a suffix of up to this many entries.  The
-# sweep of ``verify.check_bott_predicate_agreement`` took 1.11 / 0.43 /
-# 0.56 / 1.36 s for suffix lengths 1-4 (2-vCPU host): a shorter suffix
-# leaves more prefixes, a longer one more suffixes per beta, and each is
-# one kernel outcome.  Length 3 keeps whole heads of up to three entries,
-# whose degrees reach 12, in front of the kernel; with length 2 a kernel
-# that caps the degree at 11 passed the sweep.
-_SUFFIX = 3
-
-
 def bott_span_summary(
     tail: tuple[int, ...], span: Sequence[int], k: int, targets: Collection[tuple[int, ...]]
 ) -> tuple[int, Counter[int], dict[tuple[int, ...], tuple[int, tuple[int, ...]]]]:
@@ -112,14 +102,16 @@ def bott_span_summary(
     ``bott_preimage``'s form.
 
     ``span`` is strictly decreasing, so every head is.  A head splits into
-    a prefix P and a suffix S of its last m = min(k, ``_SUFFIX``) entries,
-    all below h = P[-1] (P is empty when k = m).  With a = #{tail entries
-    >= h}, the head meets the tail iff P or S does; otherwise its degree is
-    the sum of the kernel's degrees for P and for S, and its c is the
-    first k-m+a entries of the kernel's c for P followed by the kernel's c
-    for S without its first a entries (those are ``tail[:a]``).  So the
-    kernel runs once on the suffixes and once on the prefixes ending in
-    each h, all against the whole tail.  The suffixes below h are the last
+    a prefix P and a suffix S of its last m = floor(k/2) entries, all below
+    h = P[-1]; a one-entry head stays whole (m = k, P empty).  With
+    a = #{tail entries >= h}, the head meets the tail iff P or S does;
+    otherwise its degree is the sum of the kernel's degrees for P and for
+    S, and its c is the first k-m+a entries of the kernel's c for P
+    followed by the kernel's c for S without its first a entries (those
+    are ``tail[:a]``).  So the kernel runs once on each of the
+    comb(len(span), m) suffixes and, when k > m, once on each of the
+    comb(len(span)-m, k-m) prefixes, all against the whole tail; a half
+    split keeps both counts small.  The suffixes below h are the last
     comb(len(span)-1-i, m), i the index of h in the span.  The prefixes
     ending in h cover that block: their degree tally convolved with the
     block's, and a target when one free prefix's c begins it and the rest
@@ -130,7 +122,7 @@ def bott_span_summary(
     >>> list(bott_kernel((3,), combinations(range(5, 0, -1), 4)))
     [None, None, (2, (5, 4, 3, 2, 1)), None, None]
     """
-    m = min(k, _SUFFIX)
+    m = k // 2 or k
     sufs = list(bott_kernel(tail, combinations(span, m)))
     total = len(sufs)
     # a free suffix's c against the whole tail -> its degree
@@ -143,7 +135,7 @@ def bott_span_summary(
     for i in range(last, -2, -1):
         start = total - comb(last - i, m)
         below.update(map(itemgetter(0), filter(None, sufs[start:end])))
-        from_start[start] = below.copy()
+        from_start[start] = dict(below)
         end = start
     # (prefix outcomes, first suffix below them, #{tail entries >= their
     # last entry}); the empty prefix's outcome is (0, tail)

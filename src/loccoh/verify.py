@@ -55,6 +55,8 @@ def check_gauss_identities(max_n: int | None = None, bound: int | None = None) -
     for a in range(top + 1):
         for b in range(a + 1):
             area = (a - b) * b
+            # complement exponent -> number of partitions in the box
+            sizes = Counter(area - size(z) for z in enumerate_box(a - b, b))
             for v in powers:
                 closed = gauss(a, b, v)
                 enum = gauss_enum(a, b, v)
@@ -63,8 +65,7 @@ def check_gauss_identities(max_n: int | None = None, bound: int | None = None) -
                                    "enum": enum.pairs()}, f"a<={top}"
                 if closed != gauss(a, a - b, v):
                     return False, {"a": a, "b": b, "v": v, "identity": "symmetry"}, f"a<={top}"
-                complement = LaurentPoly([(v * (area - size(z)), 1) for z in enumerate_box(a - b, b)])
-                if closed != complement:
+                if closed != LaurentPoly([(v * e, count) for e, count in sizes.items()]):
                     return False, {"a": a, "b": b, "v": v, "identity": "complement"}, f"a<={top}"
             plain = gauss(a, b, 1)
             if any(plain.coefficient(e) != plain.coefficient(area - e)
@@ -125,7 +126,7 @@ def check_bott_predicate_agreement(max_n: int | None = None, bound: int | None =
 
     The heads of one beta are the k-subsets of the span, and
     ``bott_span_summary`` covers them from kernel runs on prefixes and on
-    three-entry suffixes: it returns the number of heads, their degree
+    suffixes of half a head: it returns the number of heads, their degree
     tally and the targets some head reaches, with that head's degree, and
     takes no step per head.  The heads it covered must number
     comb(len(span), k), every k-subset once.  Since it joins those outcomes

@@ -1,8 +1,10 @@
 """The Bott algorithm and its closed-form isotypic predicates."""
 
+import importlib
 import random
 from collections import Counter
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -18,8 +20,11 @@ from loccoh.bott import (
     unshifted,
     wedge_isotypic,
 )
-from loccoh.partitions import enumerate_box, enumerate_weights, size
+from loccoh.partitions import enumerate_box, enumerate_weights, padded, size
 from loccoh.qseries import LaurentPoly
+
+# the package exports a function named bott, which hides the module
+bott_module = importlib.import_module("loccoh.bott")
 
 
 def test_symmetric_square_of_subbundle_on_p2():
@@ -131,8 +136,6 @@ def test_wedge_with_s_equal_n_is_trivial():
 
 def test_predicate_against_algorithm_small():
     # every hit of the trivial weight is the predicate's (alpha, beta), n<=4
-    from loccoh.partitions import padded
-
     for n in range(1, 5):
         for k in range(1, n + 1):
             for beta in enumerate_box(n - k, k + 2):
@@ -166,9 +169,9 @@ def test_kernel_batch_matches_bott():
 
 def test_span_summary_matches_the_drained_kernel():
     # bott_span_summary against the kernel drained over every k-subset of
-    # contiguous and non-contiguous spans of length 0-12: k <= 3 runs the
+    # contiguous and non-contiguous spans of length 0-12: k = 1 runs the
     # kernel on whole heads, larger k splits each head into a prefix and a
-    # three-entry suffix, and k = len(span) + 1 has no heads.  The targets
+    # suffix of k // 2 entries, and k = len(span) + 1 has no heads.  The targets
     # are outcomes of up to three drawn heads, so hits occur, and one that
     # no head reaches; the verify sweep's closed-form degree tally agrees
     rng = random.Random(1718)
@@ -186,9 +189,10 @@ def test_span_summary_matches_the_drained_kernel():
             tuple(sorted(rng.sample(gaps, 4), reverse=True)),
             tuple(sorted(rng.sample(entries[:2] + gaps, 5), reverse=True)),
         ]
-        # an entry equal to each possible last prefix entry h, which
-        # a = #{tail entries >= h} counts, beside one entry off the span
-        tails += [tuple(sorted({h, rng.choice(gaps)}, reverse=True)) for h in entries[:-3]]
+        # an entry equal to each possible last prefix entry h (a suffix
+        # has at least one entry below it), which a = #{tail entries >= h}
+        # counts, beside one entry off the span
+        tails += [tuple(sorted({h, rng.choice(gaps)}, reverse=True)) for h in entries[:-1]]
         for tail in tails:
             for k in range(len(span) + 2):
                 heads = list(combinations(span, k))
@@ -202,6 +206,30 @@ def test_span_summary_matches_the_drained_kernel():
                 assert bott_span_summary(tail, span, k, targets) == (
                     len(heads), tally, reached), (tail, span, k)
                 assert verify_mod._degree_tally(tail, span, k) == tally, (tail, span, k)
+
+
+def test_span_summary_drains_one_outcome_per_piece(monkeypatch):
+    # at the verify sweep's spans and tails, n<=5, the summary drains one
+    # kernel outcome per suffix of m = k // 2 entries (m = k = 1 keeps the
+    # head whole) and one per prefix of the other k - m, and no more
+    drained = 0
+
+    def counting(tail, heads):
+        nonlocal drained
+        for outcome in bott_kernel(tail, heads):
+            drained += 1
+            yield outcome
+
+    monkeypatch.setattr(bott_module, "bott_kernel", counting)
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            span = range(2 * n + 1, -k - 3, -1)
+            m = k // 2 or k
+            expected = comb(len(span), m) + (comb(len(span) - m, k - m) if k > m else 0)
+            for beta in enumerate_box(n - k, k + 2):
+                drained = 0
+                bott_span_summary(shifted(padded(beta, n - k), n - k), span, k, [])
+                assert drained == expected, (n, k, beta)
 
 
 def test_preimage_inverts_the_kernel():

@@ -15,7 +15,7 @@ import textwrap
 from contextlib import contextmanager
 from typing import NamedTuple
 
-from loccoh import cohomology, extmult, verify
+from loccoh import characters, cohomology, extmult, verify
 
 
 class Mutant(NamedTuple):
@@ -35,7 +35,7 @@ HEAD_DEGREE = "yield sum(map(above, head)),"
 PREIMAGE_DEGREE = "return sum(map(_CountAbove(tail).__getitem__, head)), head"
 WEDGE = "return LaurentPoly.q(size(beta)), alpha"
 AT_N1 = {"n": 1, "k": 1}
-LONG_HEAD = [0, 0, -1, -1, -1]
+LONG_HEAD = [0, 0, 0, -1, -1]
 GAUSS, TRIPLE, LCD = "gauss-identities", "ext-triple-agreement", "lcd-closed-forms"
 EXAMPLE, NONDEGENERACY, FILTRATION = "example-reproduction", "nondegeneracy-witness", "filtration"
 QS, EXT, CO, CH = (f"loccoh.{m}" for m in ("qseries", "extmult", "cohomology", "characters"))
@@ -62,21 +62,29 @@ MUTANTS = (
     Mutant("kernel-degree-above-tail", "loccoh.bott", "bott_kernel", HEAD_DEGREE,
            HEAD_DEGREE[:-1] + " + (bool(tail) and head[0] > tail[0] + 3),", SWEEP, {"max_n": 3},
            "n<=3", {"n": 2, "k": 1, "beta": [1], "degree": 0, "count": 3, "expected_count": 4}),
-    # the summary runs the kernel on prefixes and three-entry suffixes only,
-    # so only bott() on a full head sees heads of five or more entries
+    # the summary runs the kernel on the two halves of each head, at most
+    # three entries at n <= 5, so only bott() on a full head sees heads of
+    # five entries
     Mutant("kernel-degree-long-heads", "loccoh.bott", "bott_kernel", HEAD_DEGREE,
            HEAD_DEGREE[:-1] + " + (len(head) >= 5),", SWEEP, {"max_n": 5}, "n<=5",
            {"n": 5, "k": 5, "beta": [], "alpha": LONG_HEAD,
             "summary": {"degree": 0, "weight": LONG_HEAD},
             "bott": {"degree": 1, "weight": LONG_HEAD}}),
+    # a degree reaches k(n-k) = 12 only at n = 7, k = 3 or 4, where each
+    # half of a head stays below 12; only bott() on the full head sees it
+    Mutant("kernel-degree-capped-at-11", "loccoh.bott", "bott_kernel", HEAD_DEGREE,
+           "yield min(sum(map(above, head)), 11),", SWEEP, {}, "n<=7",
+           {"n": 7, "k": 3, "beta": [3, 3, 3, 3], "alpha": [-4, -4, -5],
+            "summary": {"degree": 12, "weight": [0] * 6 + [-1]},
+            "bott": {"degree": 11, "weight": [0] * 6 + [-1]}}),
     # dropping the prefix groups that end in a tail entry at k = 5 loses only
     # heads that meet the tail; only the heads covered catch it.  At beta=(7,)
-    # the group ending in 7 held 6 * comb(14, 3) = 2184 heads
+    # the group ending in 7 held comb(6, 2) * comb(14, 2) = 1365 heads
     Mutant("summary-drops-tail-groups", "loccoh.bott", "bott_span_summary",
            "for i in range(k - m - 1, len(span) - m))",
            "for i in range(k - m - 1, len(span) - m) if not (k == 5 and span[i] in tail))",
            SWEEP, {"max_n": 6}, "n<=6",
-           {"n": 6, "k": 5, "beta": [7], "covered": 18165, "expected_covered": 20349}),
+           {"n": 6, "k": 5, "beta": [7], "covered": 18984, "expected_covered": 20349}),
     Mutant("preimage-degree-plus-one", "loccoh.bott", "bott_preimage", PREIMAGE_DEGREE,
            PREIMAGE_DEGREE.replace(")), head", ")) + 1, head"), SWEEP, {"max_n": 3}, "n<=3",
            {**AT_N1, "beta": [], "s": 0, "preimage": {"alpha": [-1], "degree": 1},
@@ -196,18 +204,23 @@ def pytest_generate_tests(metafunc):
         metafunc.parametrize("mutant", MUTANTS, ids=[m.id for m in MUTANTS])
 
 
-_ran: dict[str, set[int]] = {}  # row id -> the lines of verify.py its patched check ran
+# the modules that write a failure report: verify.py returns (False, ...),
+# and characters.filtration_check builds FiltrationReport(False, ...),
+# which check_filtration hands on through a single return
+REPORTERS = {verify: "return (False,", characters: "FiltrationReport(False,"}
+_FILES = {module.__file__ for module in REPORTERS}
+_ran: dict[str, set[tuple[str, int]]] = {}  # row id -> the (file, line)s of REPORTERS it ran
 
 
 def _run_patched(mutant: Mutant):
     lines = _ran[mutant.id] = set()
 
     def local(frame, event, arg):
-        lines.add(frame.f_lineno)
+        lines.add((frame.f_code.co_filename, frame.f_lineno))
         return local
 
     previous = sys.gettrace()
-    sys.settrace(lambda frame, *_: local if frame.f_code.co_filename == verify.__file__ else None)
+    sys.settrace(lambda frame, *_: local if frame.f_code.co_filename in _FILES else None)
     try:
         with applied(mutant):
             return verify.CHECKS[mutant.check][0](**mutant.kwargs)
@@ -225,11 +238,13 @@ def test_every_verify_fail_site_has_a_row():
         if mutant.id not in _ran:  # a -k selection skipped its row
             _run_patched(mutant)
     ran = set().union(*_ran.values())
-    sites = [range(node.lineno, node.end_lineno + 1)
-             for node in ast.walk(ast.parse(inspect.getsource(verify)))
-             if isinstance(node, ast.Return) and ast.unparse(node).startswith("return (False,")]
-    assert len(sites) >= 25
-    assert [site for site in sites if ran.isdisjoint(site)] == []
+    sites = [(module.__file__, range(node.lineno, node.end_lineno + 1))
+             for module, report in REPORTERS.items()
+             for node in ast.walk(ast.parse(inspect.getsource(module)))
+             if isinstance(node, (ast.Return, ast.Call)) and ast.unparse(node).startswith(report)]
+    assert len(sites) >= 27
+    assert [(file, lines) for file, lines in sites
+            if all((file, line) not in ran for line in lines)] == []
 
 
 def test_a_raising_check_is_a_fail_and_the_suite_runs_on():
