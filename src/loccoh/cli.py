@@ -190,9 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=list(SUITES), default="all")
     p.add_argument("--max-n", dest="max_n", type=int, default=None,
-                   help="override the sweep ceilings")
+                   help="set every n (and m) ceiling of every check; the Gauss "
+                        "range a keeps its own (a <= 12)")
     p.add_argument("--bound", type=int, default=None,
-                   help="override the truncation windows")
+                   help="set every truncation window of every check")
     p.add_argument("--threads", type=int, default=1,
                    help="worker processes for independent checks (default: 1)")
     p.set_defaults(fn=_cmd_verify)

@@ -1,10 +1,14 @@
 """Self-verification suites: every closed form against its oracle.
 
 Each check sweeps a stated parameter range and either passes or produces a
-machine-readable counterexample.  The ranges default to the acceptance
-ranges and can be scaled with ``max_n`` / ``bound``; the ranks and labels in
-them come from the ``Space`` record and ``all_labels``, through ``_ranks``
-and ``_witness_cases``, so a check has one loop body for all its spaces.
+machine-readable counterexample.  A check's ranges are its keyword
+arguments, defaulting to the acceptance ranges, and one rule (``_ranges``)
+maps the runner's ``max_n`` and ``bound`` onto them: ``max_n`` sets every
+n (or m) ceiling, each parameter named ``max_n`` or ending in ``_n``;
+``bound`` sets every truncation window, each parameter named ``bound``;
+nothing sets the Gauss range ``max_a``.  The ranks and labels come from the
+``Space`` record and ``all_labels``, through ``_ranks`` and
+``_witness_cases``, so a check has one loop body for all its spaces.
 With ``threads`` above 1 the runner runs independent checks in that many
 worker processes; output order is always declaration order.  A check that
 raises is a FAIL whose counterexample names the exception, and the suite
@@ -13,6 +17,7 @@ runs on.
 
 from __future__ import annotations
 
+import inspect
 import time
 from collections import Counter
 from collections.abc import Iterator, Sequence
@@ -47,12 +52,11 @@ from .qseries import LaurentPoly, gauss, gauss_enum
 Check = tuple[bool, dict | None, str]
 
 
-def check_gauss_identities(max_n: int | None = None, bound: int | None = None) -> Check:
+def check_gauss_identities(max_a: int = 12) -> Check:
     """Product formula vs box enumeration, complement, symmetry and
     palindromicity of the Gauss polynomials."""
-    top = 12 if max_n is None else max_n
     powers = (1, 2, 4, -4)
-    for a in range(top + 1):
+    for a in range(max_a + 1):
         for b in range(a + 1):
             area = (a - b) * b
             # complement exponent -> number of partitions in the box
@@ -62,16 +66,16 @@ def check_gauss_identities(max_n: int | None = None, bound: int | None = None) -
                 enum = gauss_enum(a, b, v)
                 if closed != enum:
                     return False, {"a": a, "b": b, "v": v, "closed": closed.pairs(),
-                                   "enum": enum.pairs()}, f"a<={top}"
+                                   "enum": enum.pairs()}, f"a<={max_a}"
                 if closed != gauss(a, a - b, v):
-                    return False, {"a": a, "b": b, "v": v, "identity": "symmetry"}, f"a<={top}"
+                    return False, {"a": a, "b": b, "v": v, "identity": "symmetry"}, f"a<={max_a}"
                 if closed != LaurentPoly([(v * e, count) for e, count in sizes.items()]):
-                    return False, {"a": a, "b": b, "v": v, "identity": "complement"}, f"a<={top}"
+                    return False, {"a": a, "b": b, "v": v, "identity": "complement"}, f"a<={max_a}"
             plain = gauss(a, b, 1)
             if any(plain.coefficient(e) != plain.coefficient(area - e)
                    for e in range(area + 1)):
-                return False, {"a": a, "b": b, "identity": "palindromic"}, f"a<={top}"
-    return True, None, f"0 <= b <= a <= {top}, v in {powers}"
+                return False, {"a": a, "b": b, "identity": "palindromic"}, f"a<={max_a}"
+    return True, None, f"0 <= b <= a <= {max_a}, v in {powers}"
 
 
 def _alpha_and_degree(res: tuple | None, tail: tuple[int, ...], k: int) -> dict | None:
@@ -105,7 +109,7 @@ def _degree_tally(tail: tuple[int, ...], span: Sequence[int], k: int) -> Counter
     return rows[k] if k < len(rows) else Counter()
 
 
-def check_bott_predicate_agreement(max_n: int | None = None, bound: int | None = None) -> Check:
+def check_bott_predicate_agreement(max_n: int = 7) -> Check:
     """Sweep the Bott kernel against the closed-form isotypic predicates.
 
     For every k <= n, every beta with at most n-k parts of size at most
@@ -134,9 +138,8 @@ def check_bott_predicate_agreement(max_n: int | None = None, bound: int | None =
     full head, with the same degree.  The pair count in the params sums the
     heads covered.
     """
-    top = 7 if max_n is None else max_n
     checked = 0
-    for n in range(1, top + 1):
+    for n in range(1, max_n + 1):
         for k in range(1, n + 1):
             r = n - k
             # shifted wedge weights (0^s, (-1)^(n-s)); s = n is the trivial one
@@ -161,20 +164,20 @@ def check_bott_predicate_agreement(max_n: int | None = None, bound: int | None =
                     tail, span, k, [t for t, s in targets.items() if s in applicable])
                 if covered != heads:
                     return False, {"n": n, "k": k, "beta": list(beta), "covered": covered,
-                                   "expected_covered": heads}, f"n<={top}"
+                                   "expected_covered": heads}, f"n<={max_n}"
                 # checked counts every (alpha, beta) pair, one outcome each
                 checked += covered
                 nonzero = tally.total()
                 if nonzero != free_heads:
                     return False, {"n": n, "k": k, "beta": list(beta), "nonzero": nonzero,
-                                   "expected_nonzero": free_heads}, f"n<={top}"
+                                   "expected_nonzero": free_heads}, f"n<={max_n}"
                 expected = _degree_tally(tail, span, k)
                 if tally != expected:
                     degree = min(d for d in tally.keys() | expected.keys()
                                  if tally[d] != expected[d])
                     return False, {"n": n, "k": k, "beta": list(beta), "degree": degree,
                                    "count": tally[degree], "expected_count": expected[degree]
-                                   }, f"n<={top}"
+                                   }, f"n<={max_n}"
                 for target, (degree, head) in reached.items():
                     alpha = unshifted(head + tail)[:k]
                     summary = BottCohomology(degree, unshifted(target))
@@ -182,7 +185,7 @@ def check_bott_predicate_agreement(max_n: int | None = None, bound: int | None =
                     if got != summary:
                         return False, {"n": n, "k": k, "beta": list(beta), "alpha": list(alpha),
                                        "summary": _cohomology(summary), "bott": _cohomology(got)
-                                       }, f"n<={top}"
+                                       }, f"n<={max_n}"
                 hit_by_s = {targets[t]: hit for t, hit in reached.items()}
                 hits = {head: (s, degree) for s, (degree, head) in hit_by_s.items()}
                 for target, s in targets.items():
@@ -195,7 +198,7 @@ def check_bott_predicate_agreement(max_n: int | None = None, bound: int | None =
                         return False, {"n": n, "k": k, "beta": list(beta), "s": s,
                                        "preimage": _alpha_and_degree(pre, tail, k),
                                        "kernel": _alpha_and_degree(hit_by_s.get(s), tail, k)
-                                       }, f"n<={top}"
+                                       }, f"n<={max_n}"
                 # heads run in decreasing lexicographic order
                 for head in sorted(hits.keys() | predicted.keys(), reverse=True):
                     pred_s, poly = predicted.get(head, (None, None))
@@ -208,21 +211,21 @@ def check_bott_predicate_agreement(max_n: int | None = None, bound: int | None =
                         continue
                     alpha = list(unshifted(head + tail)[:k])
                     return False, {"n": n, "k": k, "alpha": alpha, "beta": list(beta),
-                                   **failure}, f"n<={top}"
-    return True, None, f"n<={top}, beta in P(n-k,k+2), alpha entries in [-n-2,n+2] ({checked} pairs)"
+                                   **failure}, f"n<={max_n}"
+    return True, None, (f"n<={max_n}, beta in P(n-k,k+2), alpha entries in [-n-2,n+2]"
+                        f" ({checked} pairs)")
 
 
-def check_example_reproduction(max_n: int | None = None, bound: int | None = None) -> Check:
+def check_example_reproduction(bound: int = 14) -> Check:
     """The symmetric n=3, x=(2,2,0), p=1 subquotient: its fourth Ext module
     is exactly the irreducible of highest weight (5,5,4), of dimension 3."""
-    window = 14 if bound is None else bound
-    gc = ext_character(SYMM, 3, (2, 2, 0), 1, window)
+    gc = ext_character(SYMM, 3, (2, 2, 0), 1, bound)
     got = gc.at(4)
     if got != Counter({(5, 5, 4): 1}):
-        return False, {"ext4": sorted((list(w), c) for w, c in got.items())}, f"D={window}"
+        return False, {"ext4": sorted((list(w), c) for w, c in got.items())}, f"D={bound}"
     if schur_dimension((5, 5, 4)) != 3:
-        return False, {"dim": schur_dimension((5, 5, 4))}, f"D={window}"
-    return True, None, f"symm n=3 x=(2,2,0) p=1, window D={window}"
+        return False, {"dim": schur_dimension((5, 5, 4))}, f"D={bound}"
+    return True, None, f"symm n=3 x=(2,2,0) p=1, window D={bound}"
 
 
 def _ranks(*tops: tuple[str, int]) -> Iterator[tuple[str, int, int, int | None]]:
@@ -253,13 +256,11 @@ def _where(space: str, n: int, p: int, m: int | None) -> dict:
     return {"space": space, "n": n, **({} if m is None else {"m": m}), "p": p}
 
 
-def check_ext_triple_agreement(max_n: int | None = None, bound: int | None = None) -> Check:
+def check_ext_triple_agreement(skew_n: int = 8, symm_n: int = 7) -> Check:
     """Closed form == box enumeration == sheaf cohomology for every witness
     multiplicity, over every valid index."""
-    skew_top = 8 if max_n is None else max_n
-    symm_top = 7 if max_n is None else max_n
     count = 0
-    for space, n, p, s, j in _witness_cases((SKEW, skew_top), (SYMM, symm_top)):
+    for space, n, p, s, j in _witness_cases((SKEW, skew_n), (SYMM, symm_n)):
         closed = witness_ext_closed(space, n, p, s, j)
         enum = witness_ext_enum(space, n, p, s, j)
         via_bott = witness_ext_bott(space, n, p, s, j)
@@ -267,21 +268,19 @@ def check_ext_triple_agreement(max_n: int | None = None, bound: int | None = Non
             return False, {
                 "space": space, "n": n, "p": p, "s": s, "flavor": j,
                 "closed": closed.pairs(), "enum": enum.pairs(), "bott": via_bott.pairs(),
-            }, f"skew n<={skew_top}, symm n<={symm_top}"
+            }, f"skew n<={skew_n}, symm n<={symm_n}"
         if any(c < 0 for _, c in closed.pairs()):
             return False, {"space": space, "n": n, "p": p, "s": s,
                            "poly": closed.pairs()}, "positivity"
         count += 1
-    return True, None, f"skew n<={skew_top}, symm n<={symm_top} ({count} index tuples)"
+    return True, None, f"skew n<={skew_n}, symm n<={symm_n} ({count} index tuples)"
 
 
-def check_assembly_agreement(max_n: int | None = None, bound: int | None = None) -> Check:
+def check_assembly_agreement(general_n: int = 10, skew_n: int = 8, symm_n: int = 7) -> Check:
     """Skew/symm closed forms against the ``bott`` route of the Ext assembly,
     whose top degree must be ``lcd_closed_form``; for all three spaces, the
     forced single-term shape at p=0 and, at every p, D_p alone in the codimension."""
-    skew_top = 8 if max_n is None else max_n
-    symm_top = 7 if max_n is None else max_n
-    for space, n, p, m in _ranks((GENERAL, 10), (SKEW, skew_top), (SYMM, symm_top)):
+    for space, n, p, m in _ranks((GENERAL, general_n), (SKEW, skew_n), (SYMM, symm_n)):
         hp = support_poly(space, n, p, m)
         if not p and hp.terms != {0: LaurentPoly.q(ambient_dimension(space, n, m))}:
             return False, _where(space, n, 0, m), "p=0 shape"
@@ -296,26 +295,24 @@ def check_assembly_agreement(max_n: int | None = None, bound: int | None = None)
                 return False, _where(space, n, p, m), "assembly"
             if via_bott.top_degree() != lcd_closed_form(space, n, p):
                 return False, {**_where(space, n, p, m), "top_degree": via_bott.top_degree()}, "lcd"
-    return True, None, f"skew n<={skew_top}, symm n<={symm_top}, general m,n<=10"
+    return True, None, f"skew n<={skew_n}, symm n<={symm_n}, general m,n<={general_n}"
 
 
-def check_lcd_closed_forms(max_n: int | None = None, bound: int | None = None) -> Check:
+def check_lcd_closed_forms(max_n: int = 10) -> Check:
     """Top degree of the main displays against the one-line dimension
     formulas, and the top-degree support for symmetric odd p < n-1."""
-    top = 10 if max_n is None else max_n
-    for space, n, p, m in _ranks((GENERAL, top), (SKEW, top), (SYMM, top)):
-        where = f"n<={top}" if m is None else f"n,m<={top}"
+    for space, n, p, m in _ranks((GENERAL, max_n), (SKEW, max_n), (SYMM, max_n)):
+        where = f"n<={max_n}" if m is None else f"n,m<={max_n}"
         if lcd(space, n, p, m) != lcd_closed_form(space, n, p, m):
             return False, _where(space, n, p, m), where
         if space == SYMM and p % 2 and p < n - 1 and top_support(space, n, p) != [1]:
             return False, {**_where(space, n, p, m), "top_support": top_support(space, n, p)}, where
-    return True, None, f"all spaces, n,m <= {top}, every valid p"
+    return True, None, f"all spaces, n,m <= {max_n}, every valid p"
 
 
-def check_witness_exclusivity(max_n: int | None = None, bound: int | None = None) -> Check:
+def check_witness_exclusivity(max_n: int = 10) -> Check:
     """witness_weight(L) lies in the weight set of L' iff L == L'."""
-    top = 10 if max_n is None else max_n
-    for n in range(1, top + 1):
+    for n in range(1, max_n + 1):
         for space in (SKEW, SYMM):
             labels = all_labels(space, n)
             for L in labels:
@@ -323,47 +320,42 @@ def check_witness_exclusivity(max_n: int | None = None, bound: int | None = None
                 for Lp in labels:
                     if member(Lp, w) != (L == Lp):
                         return False, {"n": n, "space": space, "L": repr(L),
-                                       "Lprime": repr(Lp), "witness": list(w)}, f"n<={top}"
-    return True, None, f"skew and symm, n<={top}, all label pairs"
+                                       "Lprime": repr(Lp), "witness": list(w)}, f"n<={max_n}"
+    return True, None, f"skew and symm, n<={max_n}, all label pairs"
 
 
-def check_skew_exponent_parity(max_n: int | None = None, bound: int | None = None) -> Check:
+def check_skew_exponent_parity(max_n: int = 8) -> Check:
     """Every exponent of every skew witness multiplicity is congruent to
     m-p mod 2 (the degeneration argument at witness level)."""
-    top = 8 if max_n is None else max_n
-    for space, n, p, s, j in _witness_cases((SKEW, top)):
+    for space, n, p, s, j in _witness_cases((SKEW, max_n)):
         m = SPACES[space].rows(n)
         poly = witness_ext_closed(space, n, p, s, j)
         if any((e - (m - p)) % 2 for e in poly.exponents()):
-            return False, {"n": n, "p": p, "s": s, "exponents": poly.exponents()}, f"n<={top}"
-    return True, None, f"skew n<={top}, all valid (p, s)"
+            return False, {"n": n, "p": p, "s": s, "exponents": poly.exponents()}, f"n<={max_n}"
+    return True, None, f"skew n<={max_n}, all valid (p, s)"
 
 
-def check_nondegeneracy_witness(max_n: int | None = None, bound: int | None = None) -> Check:
+def check_nondegeneracy_witness(bound: int = 14) -> Check:
     """(5,5,4) shows up in the Ext character of the symmetric n=3 p=1
     subquotient yet belongs to no simple module's weight set, so it must
     cancel in every assembled local cohomology class."""
-    window = 14 if bound is None else bound
-    gc = ext_character(SYMM, 3, (2, 2, 0), 1, window)
+    gc = ext_character(SYMM, 3, (2, 2, 0), 1, bound)
     seen = any((5, 5, 4) in gc.at(d) for d in gc.degrees())
     if not seen:
-        return False, {"missing": [5, 5, 4]}, f"D={window}"
+        return False, {"missing": [5, 5, 4]}, f"D={bound}"
     rejecting = [not member(L, (5, 5, 4)) for L in all_labels(SYMM, 3)]
     if not all(rejecting):
         return False, {"accepted_by": rejecting.index(False)}, "7 labels"
-    return True, None, f"window D={window}, all 7 simple labels of n=3"
+    return True, None, f"window D={bound}, all 7 simple labels of n=3"
 
 
-def check_filtration(max_n: int | None = None, bound: int | None = None) -> Check:
+def check_filtration(symm_n: int = 4, skew_n: int = 6, bound: int = 10) -> Check:
     """Truncated filtration consistency for symm n<=4 and skew n<=6."""
-    window = 10 if bound is None else bound
-    symm_top = 4 if max_n is None else max_n
-    skew_top = 6 if max_n is None else max_n
-    for space, n, p, _ in _ranks((SYMM, symm_top), (SKEW, skew_top)):
-        rep = filtration_check(space, n, p, window)
+    for space, n, p, _ in _ranks((SYMM, symm_n), (SKEW, skew_n)):
+        rep = filtration_check(space, n, p, bound)
         if not rep.ok:
-            return False, rep.mismatch, f"{space} n={n} p={p} D={window}"
-    return True, None, f"symm n<={symm_top}, skew n<={skew_top}, D={window}"
+            return False, rep.mismatch, f"{space} n={n} p={p} D={bound}"
+    return True, None, f"symm n<={symm_n}, skew n<={skew_n}, D={bound}"
 
 
 CHECKS: dict[str, tuple] = {
@@ -393,12 +385,20 @@ class VerifyReport:
     seconds: float
 
 
+def _ranges(fn, max_n: int | None, bound: int | None) -> dict[str, int]:
+    """The ranges of ``fn`` that the module docstring's rule sets; None sets none."""
+    rule = {p: max_n if p == "max_n" or p.endswith("_n") else bound if p == "bound" else None
+            for p in inspect.signature(fn).parameters}
+    return {p: v for p, v in rule.items() if v is not None}
+
+
 def _run_one(item: tuple[str, int | None, int | None]) -> VerifyReport:
     name, max_n, bound = item
     fn = CHECKS[name][0]
+    ranges = _ranges(fn, max_n, bound)
     t0 = time.perf_counter()
     try:
-        passed, counterexample, params = fn(max_n=max_n, bound=bound)
+        passed, counterexample, params = fn(**ranges)
     except Exception as exc:  # a raising check is a FAIL, and the suite runs on
         passed, counterexample, params = False, {
             "exception": type(exc).__name__, "message": str(exc)}, "raised"

@@ -1,5 +1,7 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import functools
+import inspect
 import json
 import os
 import subprocess
@@ -118,8 +120,45 @@ def test_run_suite_rejects_non_int_ranges_by_name(name, value):
         verify_mod.run_suite("qseries", **{name: value})
 
 
+def test_every_check_range_is_one_the_rule_names():
+    # a range with another name, or with no default, would ignore --max-n
+    for name, (fn, _) in verify_mod.CHECKS.items():
+        for param in inspect.signature(fn).parameters.values():
+            assert param.default is not param.empty, (name, param.name)
+            assert param.name in ("max_a", "bound") or param.name.endswith("_n"), (name, param.name)
+
+
+def test_run_suite_hands_max_n_to_every_ceiling_and_bound_to_every_window(monkeypatch):
+    seen = {}
+
+    def recorder(name, fn):
+        @functools.wraps(fn)  # the rule reads fn's signature through __wrapped__
+        def record(**ranges):
+            seen[name] = ranges
+            return True, None, ""
+        return record
+
+    for name, (fn, tag) in list(verify_mod.CHECKS.items()):
+        monkeypatch.setitem(verify_mod.CHECKS, name, (recorder(name, fn), tag))
+    verify_mod.run_suite()
+    assert seen == dict.fromkeys(verify_mod.CHECKS, {})
+    verify_mod.run_suite(max_n=3, bound=5)
+    assert seen == {
+        "gauss-identities": {},
+        "bott-predicate-agreement": {"max_n": 3},
+        "example-reproduction": {"bound": 5},
+        "ext-triple-agreement": {"skew_n": 3, "symm_n": 3},
+        "assembly-agreement": {"general_n": 3, "skew_n": 3, "symm_n": 3},
+        "lcd-closed-forms": {"max_n": 3},
+        "witness-exclusivity": {"max_n": 3},
+        "skew-exponent-parity": {"max_n": 3},
+        "nondegeneracy-witness": {"bound": 5},
+        "filtration": {"symm_n": 3, "skew_n": 3, "bound": 5},
+    }
+
+
 def test_verify_reports_failures(capsys, monkeypatch):
-    def broken(max_n=None, bound=None):
+    def broken():
         return False, {"witness": 1}, "injected"
 
     monkeypatch.setitem(verify_mod.CHECKS, "gauss-identities", (broken, "qseries"))
@@ -129,7 +168,7 @@ def test_verify_reports_failures(capsys, monkeypatch):
 
 
 def test_verify_reports_a_raising_check_and_runs_on(capsys, monkeypatch):
-    def raising(max_n=None, bound=None):
+    def raising():
         raise RuntimeError("injected")
 
     monkeypatch.setitem(verify_mod.CHECKS, "assembly-agreement", (raising, "loccoh"))

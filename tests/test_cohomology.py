@@ -231,8 +231,6 @@ def test_json_shape():
     ((SYMM, None, 1), "n"),
     ((SKEW, 5, 1.0), "p"),
     ((SYMM, 3, False), "p"),
-    ((GENERAL, 3, 1, 4.0), "m"),
-    ((GENERAL, 3, 1, True), "m"),
 ])
 def test_non_int_arguments_rejected_by_name(fn, args, name):
     with pytest.raises(ValueError, match=f"^{name} must be an int"):

@@ -42,6 +42,7 @@ QS, EXT, CO, CH = (f"loccoh.{m}" for m in ("qseries", "extmult", "cohomology", "
 SKEW_N2 = {"space": "skew", "n": 2, "p": 0, "s": 1}
 LAYER_YS = "_partitions_up_to((bound - sum(xp)) // 2, p)"
 LAYER_AT_N2 = {"layer": 0, "partition": [], "quotient_character": [[], [2], [4]]}
+N2_D4 = {"symm_n": 2, "skew_n": 2, "bound": 4}
 
 MUTANTS = (
     # the sweep reads its predicted alphas and degrees off wedge_isotypic;
@@ -96,38 +97,39 @@ MUTANTS = (
     # witness of the wrong parity, zero on both routes, so the assemblies
     # agree; only the bottom term D_p, missing at symm n=2, p=1, shows it
     Mutant("class-label-flavor-swap", "loccoh.characters", "Space.class_label",
-           "else 2 - index % 2", "else 1 + index % 2", ASSEMBLY, {"max_n": 4}, "bottom term",
-           {"space": "symm", "n": 2, "p": 1}),
+           "else 2 - index % 2", "else 1 + index % 2", ASSEMBLY, {"skew_n": 4, "symm_n": 4},
+           "bottom term", {"space": "symm", "n": 2, "p": 1}),
     Mutant("witness-skew-base-plus-two", "loccoh.extmult", "_witness_closed",
-           "(2 * s if n % 2 else 0)", "(2 * s if n % 2 else 0) + 2", ASSEMBLY, {"max_n": 4},
-           "p=0 shape", {"space": "skew", "n": 2, "p": 0}),
+           "(2 * s if n % 2 else 0)", "(2 * s if n % 2 else 0) + 2", ASSEMBLY,
+           {"skew_n": 4, "symm_n": 4}, "p=0 shape", {"space": "skew", "n": 2, "p": 0}),
     # the Gauss factor is 1 at the bottom term; skew n=6, p=1 is the first
     # rank with a class whose factor is larger
     Mutant("witness-skew-gauss-power-two", "loccoh.extmult", "_witness_closed",
            "gauss(s - 1, s - (m - p), 4)", "gauss(s - 1, s - (m - p), 2)", ASSEMBLY,
-           {"max_n": 6}, "assembly", {"space": "skew", "n": 6, "p": 1}),
+           {"skew_n": 6, "symm_n": 6}, "assembly", {"space": "skew", "n": 6, "p": 1}),
     Mutant("lcd-skew-p1-plus-one", "loccoh.cohomology", "lcd_closed_form",
            "comb(2 * p + 2, 2) + 1", "comb(2 * p + 2, 2) + 1 + (p == 1)", ASSEMBLY,
-           {"max_n": 6}, "lcd", {"space": "skew", "n": 4, "p": 1, "top_degree": 1}),
+           {"skew_n": 6, "symm_n": 6}, "lcd", {"space": "skew", "n": 4, "p": 1, "top_degree": 1}),
     Mutant("gauss-enum-shifted", QS, "gauss_enum", "b * (b - 1) // 2", "b * (b + 1) // 2", GAUSS,
-           {"max_n": 3}, "a<=3", {"a": 1, "b": 1, "v": 1, "closed": [(0, 1)], "enum": [(-1, 1)]}),
+           {"max_a": 3}, "a<=3", {"a": 1, "b": 1, "v": 1, "closed": [(0, 1)], "enum": [(-1, 1)]}),
     Mutant("gauss-zero-above-half", QS, "gauss", "b > a:", "2 * b > a + 1:", GAUSS,
-           {"max_n": 3}, "a<=3", {"a": 2, "b": 0, "v": 1, "identity": "symmetry"}),
+           {"max_a": 3}, "a<=3", {"a": 2, "b": 0, "v": 1, "identity": "symmetry"}),
     # without the `width and` guard the box never ends
     Mutant("box-empty-one-column", "loccoh.partitions", "enumerate_box", "if width else",
-           "if width and (width > 1 or rows < 2) else", GAUSS, {"max_n": 4}, "a<=4",
+           "if width and (width > 1 or rows < 2) else", GAUSS, {"max_a": 4}, "a<=4",
            {"a": 3, "b": 1, "v": 1, "identity": "complement"}),
     # a box's size distribution is palindromic, so only a wrong reader fails here
     Mutant("coefficient-at-zero-plus-one", QS, "LaurentPoly.coefficient", "get(exponent, 0)",
-           "get(exponent, 0) + (exponent == 0)", GAUSS, {"max_n": 3}, "a<=3",
+           "get(exponent, 0) + (exponent == 0)", GAUSS, {"max_a": 3}, "a<=3",
            {"a": 2, "b": 1, "identity": "palindromic"}),
     Mutant("enum-skew-counts-twice", EXT, "witness_ext_enum", "comb(2 * p, 2) - sum(beta)] += 1",
-           "comb(2 * p, 2) - sum(beta)] += 2", TRIPLE, {"max_n": 3}, "skew n<=3, symm n<=3",
+           "comb(2 * p, 2) - sum(beta)] += 2", TRIPLE, {"skew_n": 3, "symm_n": 3},
+           "skew n<=3, symm n<=3",
            {**SKEW_N2, "flavor": None, "closed": [(1, 1)], "enum": [(1, 2)], "bott": [(1, 1)]}),
     # the enumeration route only counts, so only a wrong reader fails positivity
     Mutant("pairs-negated", QS, "LaurentPoly.pairs", "sorted(self._c.items())",
-           "sorted((e, -c) for e, c in self._c.items())", TRIPLE, {"max_n": 3}, "positivity",
-           {**SKEW_N2, "poly": [(1, -1)]}),
+           "sorted((e, -c) for e, c in self._c.items())", TRIPLE, {"skew_n": 3, "symm_n": 3},
+           "positivity", {**SKEW_N2, "poly": [(1, -1)]}),
     Mutant("lcd-general-plus-one", CO, "lcd_closed_form", "(p + 1) ** 2 + 1", "(p + 1) ** 2 + 2",
            LCD, {"max_n": 3}, "n,m<=3", {"space": "general", "n": 1, "m": 1, "p": 0}),
     Mutant("top-support-adds-n", CO, "top_support", ".top_labels()", ".top_labels() + [n]", LCD,
@@ -148,13 +150,13 @@ MUTANTS = (
     Mutant("member-symm-upper-bound-plus-two", CH, "member_symm", "lam[s] > s:",
            "lam[s] > s + 2:", NONDEGENERACY, {}, "7 labels", {"accepted_by": 5}),
     Mutant("layer-drops-y-1", CH, "layer_character", LAYER_YS,
-           f"[y for y in {LAYER_YS} if y != (1,)]", FILTRATION, {"max_n": 2, "bound": 4},
+           f"[y for y in {LAYER_YS} if y != (1,)]", FILTRATION, N2_D4,
            "symm n=2 p=1 D=4", {**LAYER_AT_N2, "cyclic_character": [[], [4]]}),
     Mutant("layer-counts-y-1-twice", CH, "layer_character", LAYER_YS,
-           f"[*{LAYER_YS}, *[(1,)] * (p > 0)]", FILTRATION, {"max_n": 2, "bound": 4},
+           f"[*{LAYER_YS}, *[(1,)] * (p > 0)]", FILTRATION, N2_D4,
            "symm n=2 p=1 D=4", {**LAYER_AT_N2, "cyclic_character": [[], [2], [2], [4]]}),
     Mutant("ring-extra-weight", CH, "space_character", "bound))", "bound)) + Counter({(99,): 1})",
-           FILTRATION, {"max_n": 1, "bound": 2}, "symm n=1 p=0 D=2",
+           FILTRATION, {"symm_n": 1, "skew_n": 1, "bound": 2}, "symm n=1 p=0 D=2",
            {"layer": None, "union_of_layers": [[], [2]], "ring_character": [[], [2], [99]]}),
 )
 

@@ -45,5 +45,4 @@ def answer(argv: list[str]) -> str:
 
 
 if __name__ == "__main__":
-    PATH.parent.mkdir(exist_ok=True)
     PATH.write_text("".join(answer(argv) + "\n" for argv in grid()))
