@@ -19,18 +19,32 @@ import re
 from pathlib import Path
 
 from loccoh.cli import main
-from loccoh.verify import SUITES
+from loccoh.characters import GENERAL, SKEW, SYMM
+from loccoh.extmult import WITNESS_ROUTES
+from loccoh.verify import SUITES, _ranks, _witness_cases
 
 PATH = Path(__file__).resolve().parents[1] / "tests" / "data" / "answers.jsonl"
 SECONDS = re.compile(r"\(\d+\.\d+s\)$", re.MULTILINE)
 
 
+def _option(flag: str, value: int | None) -> list[str]:
+    return [] if value is None else [flag, str(value)]
+
+
 def grid() -> list[list[str]]:
     """Every ``--max-n`` up to 6 on the whole suite, the windows around the
-    worked example's weight size 14, and each named suite at ``--max-n 2``."""
+    worked example's weight size 14, each named suite at ``--max-n 2``;
+    ``lcd`` at every rank with n, m <= 12, and ``ext`` on every route at
+    every witness index of ``verify``'s ranges (skew n <= 8, symm n <= 7)."""
     return ([["verify", "--max-n", str(k)] for k in range(1, 7)]
             + [["verify", "--max-n", "3", "--bound", str(b)] for b in (13, 14, 20)]
-            + [["verify", "--suite", s, "--max-n", "2"] for s in SUITES if s != "all"])
+            + [["verify", "--suite", s, "--max-n", "2"] for s in SUITES if s != "all"]
+            + [["lcd", "--space", space, "--n", str(n), *_option("--m", m), "--p", str(p)]
+               for space, n, p, m in _ranks((GENERAL, 12), (SKEW, 12), (SYMM, 12))]
+            + [["ext", "--space", space, "--n", str(n), "--p", str(p), "--s", str(s),
+                *_option("--j", j), "--route", route]
+               for space, n, p, s, j in _witness_cases((SKEW, 8), (SYMM, 7))
+               for route in WITNESS_ROUTES])
 
 
 def answer(argv: list[str]) -> str:
