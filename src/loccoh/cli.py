@@ -191,9 +191,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=list(SUITES), default="all")
     p.add_argument("--max-n", dest="max_n", type=int, default=None,
                    help="set every n (and m) ceiling of every check; the Gauss "
-                        "range a keeps its own (a <= 12)")
+                        "range a keeps its own (a <= 12); at least 2 where "
+                        "skew-exponent-parity runs")
     p.add_argument("--bound", type=int, default=None,
-                   help="set every truncation window of every check")
+                   help="set every truncation window of every check; at least 14, "
+                        "the size of the worked example's weight, where "
+                        "example-reproduction runs")
     p.add_argument("--threads", type=int, default=1,
                    help="worker processes for independent checks (default: 1)")
     p.set_defaults(fn=_cmd_verify)

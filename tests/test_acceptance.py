@@ -63,9 +63,9 @@ def test_criterion_4_triple_route_agreement():
 
 
 def test_criterion_5_assembly():
-    # closed displays == Bott-route ext assembly on the same range, whose
-    # top degree is the lcd formula; p=0 always a single class with the
-    # ambient-dimension exponent, and D_p alone in the codimension; < 1 min
+    # closed displays == Bott-route ext assembly on the same range (whose
+    # top degree criterion 6 checks through lcd); p=0 always a single class
+    # with the ambient-dimension exponent, and D_p alone in the codimension; < 1 min
     _criterion(5, "main-display assembly", check_assembly_agreement, 60.0,
                "skew n<=8, symm n<=7, general m,n<=10")
 
@@ -91,9 +91,10 @@ def test_criterion_8_skew_exponent_parity():
 
 
 def test_criterion_9_nondegeneracy_witness():
-    # (5,5,4) occurs on the Ext side but no simple module accepts it; < 5 s
+    # no simple module accepts (5,5,4), which criterion 3 finds on the Ext
+    # side; < 5 s
     _criterion(9, "nondegeneracy witness", check_nondegeneracy_witness, 5.0,
-               "window D=14, all 7 simple labels of n=3")
+               "(5, 5, 4) against all 7 simple labels of n=3")
 
 
 def test_criterion_10_filtration():

@@ -111,6 +111,21 @@ def test_verify_rejects_non_positive_ranges(capsys):
         assert "at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("check,option,least", [
+    ("example-reproduction", "--bound", 14),  # the size of the example weight (5,5,4)
+    ("skew-exponent-parity", "--max-n", 2),  # skew n = 1 has no rank
+])
+def test_verify_rejects_a_range_below_a_checks_minimum(capsys, check, option, least):
+    # one below the minimum exits 2 before any check runs; at it, the check passes
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "ext", option, str(least - 1)])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert f"must be at least {least} for {check}, got {least - 1}" in err
+    code, out = run(capsys, "verify", "--suite", "ext", option, str(least))
+    assert code == 0 and f"PASS  {check}  [" in out
+
+
 @pytest.mark.parametrize("name,value", [
     ("max_n", True), ("max_n", 2.5), ("bound", 8.0), ("threads", None), ("threads", 1.0),
 ])
@@ -142,18 +157,18 @@ def test_run_suite_hands_max_n_to_every_ceiling_and_bound_to_every_window(monkey
         monkeypatch.setitem(verify_mod.CHECKS, name, (recorder(name, fn), tag))
     verify_mod.run_suite()
     assert seen == dict.fromkeys(verify_mod.CHECKS, {})
-    verify_mod.run_suite(max_n=3, bound=5)
+    verify_mod.run_suite(max_n=3, bound=14)
     assert seen == {
         "gauss-identities": {},
         "bott-predicate-agreement": {"max_n": 3},
-        "example-reproduction": {"bound": 5},
+        "example-reproduction": {"bound": 14},
         "ext-triple-agreement": {"skew_n": 3, "symm_n": 3},
         "assembly-agreement": {"general_n": 3, "skew_n": 3, "symm_n": 3},
         "lcd-closed-forms": {"max_n": 3},
         "witness-exclusivity": {"max_n": 3},
         "skew-exponent-parity": {"max_n": 3},
-        "nondegeneracy-witness": {"bound": 5},
-        "filtration": {"symm_n": 3, "skew_n": 3, "bound": 5},
+        "nondegeneracy-witness": {},
+        "filtration": {"symm_n": 3, "skew_n": 3, "bound": 14},
     }
 
 
@@ -332,7 +347,7 @@ def test_run_suite_sizes_the_pool_to_the_work(monkeypatch, suite, threads, worke
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    reports = verify_mod.run_suite(suite, max_n=2, bound=4, threads=threads)
+    reports = verify_mod.run_suite(suite, max_n=2, bound=14, threads=threads)
     assert seen == [workers]
     assert [r.name for r in reports] == [
         name for name, (_, tag) in verify_mod.CHECKS.items() if tag == suite

@@ -79,8 +79,6 @@ NON_INT_CASES = [
     ((SKEW, 5.0, 1, 2), "n"),
     ((SYMM, True, 0, 1), "n"),
     ((SKEW, 5, True, 2), "p"),
-    ((SYMM, 3, 1, 3.0), "s"),
-    ((SKEW, 5, 1, None), "s"),
 ]
 
 

@@ -108,8 +108,8 @@ MUTANTS = (
            "gauss(s - 1, s - (m - p), 4)", "gauss(s - 1, s - (m - p), 2)", ASSEMBLY,
            {"skew_n": 6, "symm_n": 6}, "assembly", {"space": "skew", "n": 6, "p": 1}),
     Mutant("lcd-skew-p1-plus-one", "loccoh.cohomology", "lcd_closed_form",
-           "comb(2 * p + 2, 2) + 1", "comb(2 * p + 2, 2) + 1 + (p == 1)", ASSEMBLY,
-           {"skew_n": 6, "symm_n": 6}, "lcd", {"space": "skew", "n": 4, "p": 1, "top_degree": 1}),
+           "comb(2 * p + 2, 2) + 1", "comb(2 * p + 2, 2) + 1 + (p == 1)", LCD,
+           {"max_n": 6}, "n<=6", {"space": "skew", "n": 4, "p": 1}),
     Mutant("gauss-enum-shifted", QS, "gauss_enum", "b * (b - 1) // 2", "b * (b + 1) // 2", GAUSS,
            {"max_a": 3}, "a<=3", {"a": 1, "b": 1, "v": 1, "closed": [(0, 1)], "enum": [(-1, 1)]}),
     Mutant("gauss-zero-above-half", QS, "gauss", "b > a:", "2 * b > a + 1:", GAUSS,
@@ -146,7 +146,7 @@ MUTANTS = (
            "(2 * s + 1 if", "skew-exponent-parity", {"max_n": 4}, "n<=4",
            {"n": 3, "p": 0, "s": 1, "exponents": [4]}),
     Mutant("ext-character-drops-554", EXT, "ext_character", "res is not None:",
-           "res and res[1] != (3, 2, 0):", NONDEGENERACY, {}, "D=14", {"missing": [5, 5, 4]}),
+           "res and res[1] != (3, 2, 0):", EXAMPLE, {}, "D=14", {"ext4": []}),
     Mutant("member-symm-upper-bound-plus-two", CH, "member_symm", "lam[s] > s:",
            "lam[s] > s + 2:", NONDEGENERACY, {}, "7 labels", {"accepted_by": 5}),
     Mutant("layer-drops-y-1", CH, "layer_character", LAYER_YS,
@@ -244,9 +244,19 @@ def test_every_verify_fail_site_has_a_row():
              for module, report in REPORTERS.items()
              for node in ast.walk(ast.parse(inspect.getsource(module)))
              if isinstance(node, (ast.Return, ast.Call)) and ast.unparse(node).startswith(report)]
-    assert len(sites) >= 27
+    assert len(sites) >= 25
     assert [(file, lines) for file, lines in sites
             if all((file, line) not in ran for line in lines)] == []
+
+
+def test_every_row_and_default_lies_at_or_above_its_checks_minimums():
+    # a range below a minimum is a usage error, so no row may rely on one
+    assert verify.MINIMUMS.keys() <= verify.CHECKS.keys()
+    rows = [(name, {}) for name in verify.CHECKS] + [(m.check, m.kwargs) for m in MUTANTS]
+    for check, kwargs in rows:
+        parameters = inspect.signature(verify.CHECKS[check][0]).parameters
+        for param, least in verify.MINIMUMS.get(check, {}).items():
+            assert kwargs.get(param, parameters[param].default) >= least, (check, kwargs)
 
 
 def test_a_raising_check_is_a_fail_and_the_suite_runs_on():
