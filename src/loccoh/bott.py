@@ -9,11 +9,16 @@ the algorithm, which works on shifted entries gamma + delta and batches
 many alphas against one beta.  ``bott_span_summary`` sums up the kernel's
 outcomes over every k-subset of a span (the number of heads, the degree
 tally of the nonzero outcomes and the targets reached) from kernel runs on
-prefixes and on suffixes only: a head splits into a prefix and a suffix
-of half its entries, and its outcome is the two pieces' outcomes joined
-(see there for the rule).  ``bott_preimage`` inverts the kernel: given the
-beta block and a sorted outcome, it names the one alpha block that reaches
-it, with its degree, without trying any other.
+pieces of heads only: a head of k > 1 entries splits into a prefix Q of
+j = k - floor(k/2) - 1 entries, one pivot entry h and a suffix S of the
+last floor(k/2) (a one-entry head stays whole), and its outcome is the
+three pieces' outcomes joined.  With a = #{tail entries > h}, the head is
+free iff Q, h and S are, its degree is the sum of theirs, and it reaches
+a target t iff t[:j+a] + tail[a:] is a free Q's c, t[j+a] == h, and
+tail[:a] + t[j+a+1:] is a free S's c (``bott_span_summary`` says why).
+``bott_preimage`` inverts the kernel: given the beta block and a sorted
+outcome, it names the one alpha block that reaches it, with its degree,
+without trying any other.
 
 ``trivial_isotypic`` and ``wedge_isotypic`` are the closed-form answers for
 when that cohomology contributes a trivial summand, respectively a
@@ -24,11 +29,11 @@ checks ``wedge_isotypic`` against the kernel at every applicable s.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import chain, combinations, islice, repeat
 from math import comb
 from operator import add, itemgetter, neg, sub
 
@@ -101,32 +106,46 @@ def bott_span_summary(
     ``targets`` (shifted weights) that some head reaches, in
     ``bott_preimage``'s form.
 
-    ``span`` is strictly decreasing, so every head is.  A head splits into
-    a prefix P and a suffix S of its last m = floor(k/2) entries, all below
-    h = P[-1]; a one-entry head stays whole (m = k, P empty).  With
-    a = #{tail entries >= h}, the head meets the tail iff P or S does;
-    otherwise its degree is the sum of the kernel's degrees for P and for
-    S, and its c is the first k-m+a entries of the kernel's c for P
-    followed by the kernel's c for S without its first a entries (those
-    are ``tail[:a]``).  So the kernel runs once on each of the
-    comb(len(span), m) suffixes and, when k > m, once on each of the
-    comb(len(span)-m, k-m) prefixes, all against the whole tail; a half
-    split keeps both counts small.  The suffixes below h are the last
-    comb(len(span)-1-i, m), i the index of h in the span.  The prefixes
-    ending in h cover that block: their degree tally convolved with the
-    block's, and a target when one free prefix's c begins it and the rest
-    is a free suffix's c without its first a entries.
+    ``span`` is strictly decreasing, so every head is.  A one-entry head
+    stays whole: it is a suffix S of m = k entries.  A head of k > 1
+    entries splits into three pieces: a prefix Q of j = k-m-1 entries, one
+    pivot entry h, and the suffix S of its last m = floor(k/2) entries,
+    all below h.  With a = #{tail entries > h}, the head meets the tail iff
+    Q, h or S does; otherwise its degree is the sum of the kernel's degrees
+    for Q, for (h,) (that is, a) and for S, and it reaches a target t iff
 
-    >>> bott_span_summary((3,), range(5, 0, -1), 4, [(5, 4, 3, 2, 1), (5, 4, 3, 2, 0)])
-    (5, Counter({2: 1}), {(5, 4, 3, 2, 1): (2, (5, 4, 2, 1))})
-    >>> list(bott_kernel((3,), combinations(range(5, 0, -1), 4)))
-    [None, None, (2, (5, 4, 3, 2, 1)), None, None]
+        t[:j+a] + tail[a:] is the kernel's c for a free Q,
+        t[j+a] == h, and
+        tail[:a] + t[j+a+1:] is the kernel's c for a free S,
+
+    since the entries of c above h are Q and ``tail[:a]``, and those below
+    are S and ``tail[a:]``.  So the kernel runs once on each of the
+    comb(len(span), m) suffixes, once on each of the len(span)-m-j pivots
+    and once on each of the comb(len(span)-m-1, j) prefixes that lie above
+    some pivot (at k = 2 the one prefix is empty, with outcome (0, tail)),
+    all against the whole tail; nothing runs per head or per (prefix,
+    pivot) pair.  The suffixes below the pivot span[i] are the last
+    comb(len(span)-1-i, m); the prefixes above it are drained in blocks by
+    their last entry, and a running tally keeps the free ones.  A pivot
+    covers (#prefixes drained above it) * (#suffixes below it) heads, and a
+    free pivot adds those two degree tallies convolved, shifted by a.
+
+    >>> bott_span_summary((3,), range(6, 0, -1), 3, [(5, 3, 2, 1), (4, 3, 2, 0)])
+    (20, Counter({1: 6, 2: 3, 0: 1}), {(5, 3, 2, 1): (2, (5, 2, 1))})
+    >>> list(bott_kernel((3,), [(5,), (2,), (1,)]))
+    [(0, (5, 3)), (1, (3, 2)), (1, (3, 1))]
     """
     m = k // 2 or k
     sufs = list(bott_kernel(tail, combinations(span, m)))
     total = len(sufs)
     # a free suffix's c against the whole tail -> its degree
     free_sufs = dict(map(reversed, filter(None, sufs)))
+    in_tail = frozenset(tail).__contains__
+    if k == m:
+        # a head of at most one entry is a whole suffix
+        return total, Counter(free_sufs.values()), {
+            t: (free_sufs[t], tuple(v for v in t if not in_tail(v)))
+            for t in targets if t in free_sufs}
     last = len(span) - 1
     # first suffix below span[i] -> degree tally of the free suffixes from it on
     from_start = {}
@@ -137,29 +156,41 @@ def bott_span_summary(
         below.update(map(itemgetter(0), filter(None, sufs[start:end])))
         from_start[start] = dict(below)
         end = start
-    # (prefix outcomes, first suffix below them, #{tail entries >= their
-    # last entry}); the empty prefix's outcome is (0, tail)
-    groups = [([(0, tail)], 0, 0)] if k == m else (
-        (bott_kernel(tail, map(add, combinations(span[:i], k - m - 1), repeat((span[i],)))),
-         total - comb(last - i, m), bisect_right(tail, -span[i], key=neg))
-        for i in range(k - m - 1, len(span) - m))
-    in_tail = frozenset(tail).__contains__
+    j = k - m - 1
+    # the prefixes' outcomes in blocks by their last entry, so those above
+    # span[i] are the first comb(i, j); k = 2 has only the empty prefix,
+    # whose outcome is (0, tail) without the kernel
+    prefixes = iter([(0, tail)]) if not j else bott_kernel(tail, chain.from_iterable(
+        map(add, combinations(span[:e], j - 1), repeat((span[e],)))
+        for e in range(len(span) - m - 1)))
+    pivots = range(j, len(span) - m)
+    above = 0
+    # a free prefix's c against the whole tail -> its degree, and their tally
+    free_prefixes = {}
+    prefix_tally: Counter[int] = Counter()
     covered = 0
     tally: Counter[int] = Counter()
     reached = {}
-    for outcomes, start, a in groups:
-        outs = list(outcomes)
-        covered += len(outs) * (total - start)
-        # a free prefix's c against the whole tail -> its degree
-        free_prefixes = dict(map(reversed, filter(None, outs)))
-        for pd, count in Counter(free_prefixes.values()).items():
+    for i, pivot in zip(pivots, bott_kernel(tail, ((span[i],) for i in pivots))):
+        outs = list(islice(prefixes, comb(i, j) - above))
+        above += len(outs)
+        block = dict(map(reversed, filter(None, outs)))
+        free_prefixes.update(block)
+        prefix_tally.update(block.values())
+        start = total - comb(last - i, m)
+        covered += above * (total - start)
+        if pivot is None:
+            continue
+        a, h = pivot[0], span[i]
+        for pd, count in prefix_tally.items():
             for sd, free in from_start[start].items():
-                tally[pd + sd] += count * free
+                tally[pd + a + sd] += count * free
         for t in targets:
-            pd = free_prefixes.get(t[:k - m + a] + tail[a:])
-            sd = free_sufs.get(tail[:a] + t[k - m + a:])
-            if pd is not None and sd is not None:
-                reached[t] = pd + sd, tuple(v for v in t if not in_tail(v))
+            if t[j + a] == h:
+                pd = free_prefixes.get(t[:j + a] + tail[a:])
+                sd = free_sufs.get(tail[:a] + t[j + a + 1:])
+                if pd is not None and sd is not None:
+                    reached[t] = pd + a + sd, tuple(v for v in t if not in_tail(v))
     return covered, tally, reached
 
 

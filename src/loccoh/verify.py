@@ -133,14 +133,14 @@ def check_bott_predicate_agreement(max_n: int = 7) -> Check:
     and a counterexample names the first degree whose count differs.
 
     The heads of one beta are the k-subsets of the span, and
-    ``bott_span_summary`` covers them from kernel runs on prefixes and on
-    suffixes of half a head: it returns the number of heads, their degree
-    tally and the targets some head reaches, with that head's degree, and
-    takes no step per head.  The heads it covered must number
-    comb(len(span), k), every k-subset once.  Since it joins those outcomes
-    from two pieces, ``bott()`` re-derives every target it reached on the
-    full head, with the same degree.  The pair count in the params sums the
-    heads covered.
+    ``bott_span_summary`` covers them from kernel runs on three pieces of a
+    head (a prefix, one pivot entry and a suffix of half the head): it
+    returns the number of heads, their degree tally and the targets some
+    head reaches, with that head's degree, and takes no step per head.  The
+    heads it covered must number comb(len(span), k), every k-subset once.
+    Since it joins those outcomes from three pieces, ``bott()`` re-derives
+    every target it reached on the full head, with the same degree.  The
+    pair count in the params sums the heads covered.
     """
     checked = 0
     for n in range(1, max_n + 1):

@@ -170,8 +170,9 @@ def test_kernel_batch_matches_bott():
 def test_span_summary_matches_the_drained_kernel():
     # bott_span_summary against the kernel drained over every k-subset of
     # contiguous and non-contiguous spans of length 0-12: k = 1 runs the
-    # kernel on whole heads, larger k splits each head into a prefix and a
-    # suffix of k // 2 entries, and k = len(span) + 1 has no heads.  The targets
+    # kernel on whole heads, larger k splits each head into a prefix, one
+    # pivot entry and a suffix of k // 2 entries, and k = len(span) + 1 has
+    # no heads.  The targets
     # are outcomes of up to three drawn heads, so hits occur, and one that
     # no head reaches; the verify sweep's closed-form degree tally agrees
     rng = random.Random(1718)
@@ -189,9 +190,9 @@ def test_span_summary_matches_the_drained_kernel():
             tuple(sorted(rng.sample(gaps, 4), reverse=True)),
             tuple(sorted(rng.sample(entries[:2] + gaps, 5), reverse=True)),
         ]
-        # an entry equal to each possible last prefix entry h (a suffix
-        # has at least one entry below it), which a = #{tail entries >= h}
-        # counts, beside one entry off the span
+        # an entry equal to each possible pivot h (a suffix has at least
+        # one entry below it), which is then not free, beside one entry off
+        # the span
         tails += [tuple(sorted({h, rng.choice(gaps)}, reverse=True)) for h in entries[:-1]]
         for tail in tails:
             for k in range(len(span) + 2):
@@ -211,7 +212,10 @@ def test_span_summary_matches_the_drained_kernel():
 def test_span_summary_drains_one_outcome_per_piece(monkeypatch):
     # at the verify sweep's spans and tails, n<=5, the summary drains one
     # kernel outcome per suffix of m = k // 2 entries (m = k = 1 keeps the
-    # head whole) and one per prefix of the other k - m, and no more
+    # head whole), one per pivot and one per prefix of j = k - m - 1
+    # entries above the lowest pivot (the empty prefix of k = 2 runs no
+    # kernel), and no more; at n<=4 it equals the drained kernel, with the
+    # sweep's own targets
     drained = 0
 
     def counting(tail, heads):
@@ -225,11 +229,24 @@ def test_span_summary_drains_one_outcome_per_piece(monkeypatch):
         for k in range(1, n + 1):
             span = range(2 * n + 1, -k - 3, -1)
             m = k // 2 or k
-            expected = comb(len(span), m) + (comb(len(span) - m, k - m) if k > m else 0)
+            j = k - m - 1
+            expected = comb(len(span), m)
+            if k > m:
+                expected += len(span) - m - j + (comb(len(span) - m - 1, j) if j else 0)
+            targets = [shifted((0,) * s + (-1,) * (n - s), n) for s in range(n - k, n + 1)]
             for beta in enumerate_box(n - k, k + 2):
+                tail = shifted(padded(beta, n - k), n - k)
                 drained = 0
-                bott_span_summary(shifted(padded(beta, n - k), n - k), span, k, [])
+                summary = bott_span_summary(tail, span, k, targets)
                 assert drained == expected, (n, k, beta)
+                if n > 4:
+                    continue
+                heads = list(combinations(span, k))
+                free = [(head, res) for head, res in zip(heads, bott_kernel(tail, heads))
+                        if res is not None]
+                assert summary == (len(heads), Counter(res[0] for _, res in free),
+                                   {res[1]: (res[0], head) for head, res in free
+                                    if res[1] in targets}), (n, k, beta)
 
 
 def test_preimage_inverts_the_kernel():

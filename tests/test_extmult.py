@@ -73,23 +73,6 @@ def test_range_validation():
         witness_ext_closed(SKEW, 6, 1, 2, 1)  # flavor on a skew witness
 
 
-# the float and bool flavor are test_boundary's audit-table cases; the ids
-# keep their numbering from when those two cases came first here
-NON_INT_CASES = [
-    ((SKEW, 5.0, 1, 2), "n"),
-    ((SYMM, True, 0, 1), "n"),
-    ((SKEW, 5, True, 2), "p"),
-]
-
-
-@pytest.mark.parametrize("route", ROUTES)
-@pytest.mark.parametrize("args,name", NON_INT_CASES,
-                         ids=[f"args{i}-{name}" for i, (_, name) in enumerate(NON_INT_CASES, 2)])
-def test_non_int_arguments_rejected_by_name(route, args, name):
-    with pytest.raises(ValueError, match=f"^{name} must be an int"):
-        route(*args)
-
-
 @pytest.mark.parametrize("route", ROUTES)
 def test_unknown_space_rejected(route):
     with pytest.raises(ValueError, match="^space must be 'skew' or 'symm', got 'general'$"):

@@ -17,6 +17,8 @@ from typing import NamedTuple
 
 from loccoh import characters, cohomology, extmult, verify
 
+import check_results
+
 
 class Mutant(NamedTuple):
     id: str
@@ -63,8 +65,8 @@ MUTANTS = (
     Mutant("kernel-degree-above-tail", "loccoh.bott", "bott_kernel", HEAD_DEGREE,
            HEAD_DEGREE[:-1] + " + (bool(tail) and head[0] > tail[0] + 3),", SWEEP, {"max_n": 3},
            "n<=3", {"n": 2, "k": 1, "beta": [1], "degree": 0, "count": 3, "expected_count": 4}),
-    # the summary runs the kernel on the two halves of each head, at most
-    # three entries at n <= 5, so only bott() on a full head sees heads of
+    # the summary runs the kernel on the three pieces of each head, at most
+    # two entries at n <= 5, so only bott() on a full head sees heads of
     # five entries
     Mutant("kernel-degree-long-heads", "loccoh.bott", "bott_kernel", HEAD_DEGREE,
            HEAD_DEGREE[:-1] + " + (len(head) >= 5),", SWEEP, {"max_n": 5}, "n<=5",
@@ -72,18 +74,19 @@ MUTANTS = (
             "summary": {"degree": 0, "weight": LONG_HEAD},
             "bott": {"degree": 1, "weight": LONG_HEAD}}),
     # a degree reaches k(n-k) = 12 only at n = 7, k = 3 or 4, where each
-    # half of a head stays below 12; only bott() on the full head sees it
+    # piece of a head stays below 12; only bott() on the full head sees it
     Mutant("kernel-degree-capped-at-11", "loccoh.bott", "bott_kernel", HEAD_DEGREE,
            "yield min(sum(map(above, head)), 11),", SWEEP, {}, "n<=7",
            {"n": 7, "k": 3, "beta": [3, 3, 3, 3], "alpha": [-4, -4, -5],
             "summary": {"degree": 12, "weight": [0] * 6 + [-1]},
             "bott": {"degree": 11, "weight": [0] * 6 + [-1]}}),
-    # dropping the prefix groups that end in a tail entry at k = 5 loses only
-    # heads that meet the tail; only the heads covered catch it.  At beta=(7,)
-    # the group ending in 7 held comb(6, 2) * comb(14, 2) = 1365 heads
+    # skipping the pivots that are tail entries at k = 5 loses only heads
+    # that meet the tail, and the next pivot still drains the skipped block
+    # of prefixes; only the heads covered catch it.  At beta=(7,) the pivot 7
+    # had comb(6, 2) prefixes above it and comb(14, 2) suffixes below: 1365 heads
     Mutant("summary-drops-tail-groups", "loccoh.bott", "bott_span_summary",
-           "for i in range(k - m - 1, len(span) - m))",
-           "for i in range(k - m - 1, len(span) - m) if not (k == 5 and span[i] in tail))",
+           "range(j, len(span) - m)",
+           "[i for i in range(j, len(span) - m) if not (k == 5 and span[i] in tail)]",
            SWEEP, {"max_n": 6}, "n<=6",
            {"n": 6, "k": 5, "beta": [7], "covered": 18984, "expected_covered": 20349}),
     Mutant("preimage-degree-plus-one", "loccoh.bott", "bott_preimage", PREIMAGE_DEGREE,
@@ -196,9 +199,8 @@ def applied(mutant: Mutant):
             cache.cache_clear()
 
 
-@functools.cache
-def _passes_unpatched(check: str, kwargs: tuple) -> bool:
-    return verify.CHECKS[check][0](**dict(kwargs))[0]
+def _passes_unpatched(check: str, kwargs: dict) -> bool:
+    return check_results.unpatched(check, kwargs)[0]
 
 
 def pytest_generate_tests(metafunc):
@@ -231,7 +233,7 @@ def _run_patched(mutant: Mutant):
 
 
 def test_mutant_fails_its_check(mutant):
-    assert _passes_unpatched(mutant.check, tuple(sorted(mutant.kwargs.items())))
+    assert _passes_unpatched(mutant.check, mutant.kwargs)
     assert _run_patched(mutant) == (False, mutant.counterexample, mutant.where)
 
 
