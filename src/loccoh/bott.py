@@ -16,6 +16,8 @@ three pieces' outcomes joined.  With a = #{tail entries > h}, the head is
 free iff Q, h and S are, its degree is the sum of theirs, and it reaches
 a target t iff t[:j+a] + tail[a:] is a free Q's c, t[j+a] == h, and
 tail[:a] + t[j+a+1:] is a free S's c (``bott_span_summary`` says why).
+Two running degree tallies, of the free prefixes above the pivot and of
+the free suffixes below it, follow the pivot down the span.
 ``bott_preimage`` inverts the kernel: given the beta block and a sorted
 outcome, it names the one alpha block that reaches it, with its degree,
 without trying any other.
@@ -35,7 +37,7 @@ from collections.abc import Collection, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, combinations, islice, repeat
 from math import comb
-from operator import add, itemgetter, neg, sub
+from operator import add, neg, sub
 
 from .partitions import Partition, Weight, _check_ints, conjugate, dual, padded, partition, size, weight
 from .qseries import LaurentPoly
@@ -124,11 +126,13 @@ def bott_span_summary(
     and once on each of the comb(len(span)-m-1, j) prefixes that lie above
     some pivot (at k = 2 the one prefix is empty, with outcome (0, tail)),
     all against the whole tail; nothing runs per head or per (prefix,
-    pivot) pair.  The suffixes below the pivot span[i] are the last
-    comb(len(span)-1-i, m); the prefixes above it are drained in blocks by
-    their last entry, and a running tally keeps the free ones.  A pivot
-    covers (#prefixes drained above it) * (#suffixes below it) heads, and a
-    free pivot adds those two degree tallies convolved, shifted by a.
+    pivot) pair.  Two running degree tallies follow the pivot down the
+    span.  The prefixes above span[i] are drained in blocks by their last
+    entry, and one tally adds the free ones.  The suffixes below span[i]
+    are the last comb(len(span)-1-i, m), and the other tally starts from
+    all free suffixes and drops each block that the pivot leaves above it.
+    A pivot covers (#prefixes drained above it) * (#suffixes below it)
+    heads, and a free pivot adds the two tallies convolved, shifted by a.
 
     >>> bott_span_summary((3,), range(6, 0, -1), 3, [(5, 3, 2, 1), (4, 3, 2, 0)])
     (20, Counter({1: 6, 2: 3, 0: 1}), {(5, 3, 2, 1): (2, (5, 2, 1))})
@@ -140,22 +144,14 @@ def bott_span_summary(
     total = len(sufs)
     # a free suffix's c against the whole tail -> its degree
     free_sufs = dict(map(reversed, filter(None, sufs)))
+    # the degree tally of the free suffixes below the current pivot
+    below = Counter(free_sufs.values())
     in_tail = frozenset(tail).__contains__
     if k == m:
         # a head of at most one entry is a whole suffix
-        return total, Counter(free_sufs.values()), {
+        return total, below, {
             t: (free_sufs[t], tuple(v for v in t if not in_tail(v)))
             for t in targets if t in free_sufs}
-    last = len(span) - 1
-    # first suffix below span[i] -> degree tally of the free suffixes from it on
-    from_start = {}
-    below: Counter[int] = Counter()
-    end = total
-    for i in range(last, -2, -1):
-        start = total - comb(last - i, m)
-        below.update(map(itemgetter(0), filter(None, sufs[start:end])))
-        from_start[start] = dict(below)
-        end = start
     j = k - m - 1
     # the prefixes' outcomes in blocks by their last entry, so those above
     # span[i] are the first comb(i, j); k = 2 has only the empty prefix,
@@ -168,7 +164,7 @@ def bott_span_summary(
     # a free prefix's c against the whole tail -> its degree, and their tally
     free_prefixes = {}
     prefix_tally: Counter[int] = Counter()
-    covered = 0
+    covered = start = 0
     tally: Counter[int] = Counter()
     reached = {}
     for i, pivot in zip(pivots, bott_kernel(tail, ((span[i],) for i in pivots))):
@@ -177,13 +173,16 @@ def bott_span_summary(
         block = dict(map(reversed, filter(None, outs)))
         free_prefixes.update(block)
         prefix_tally.update(block.values())
-        start = total - comb(last - i, m)
+        # the suffixes below span[i] are the last comb(len(span) - 1 - i, m)
+        leaves, start = start, total - comb(len(span) - 1 - i, m)
+        for out in filter(None, sufs[leaves:start]):
+            below[out[0]] -= 1
         covered += above * (total - start)
         if pivot is None:
             continue
         a, h = pivot[0], span[i]
         for pd, count in prefix_tally.items():
-            for sd, free in from_start[start].items():
+            for sd, free in below.items():
                 tally[pd + a + sd] += count * free
         for t in targets:
             if t[j + a] == h:
@@ -191,7 +190,8 @@ def bott_span_summary(
                 sd = free_sufs.get(tail[:a] + t[j + a + 1:])
                 if pd is not None and sd is not None:
                     reached[t] = pd + a + sd, tuple(v for v in t if not in_tail(v))
-    return covered, tally, reached
+    # ``below`` keeps a degree it ran out of at zero; + drops the zeros it added
+    return covered, +tally, reached
 
 
 def bott_preimage(

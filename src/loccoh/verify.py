@@ -97,20 +97,17 @@ def _cohomology(res: BottCohomology | None) -> dict | None:
 def _degree_tally(tail: tuple[int, ...], span: Sequence[int], k: int) -> Counter:
     """Degree -> number of k-subsets of ``span`` disjoint from ``tail`` whose
     entries have that many tail entries above them in all, without the
-    Bott kernel: the x^k coefficient of prod_j (1 + x q^j)^(g_j), where g_j
-    span entries off the tail have exactly j tail entries above them."""
-    runs = Counter(sum(t > v for t in tail) for v in span if v not in tail)
-    # rows[i]: the x^i coefficient of the product over the runs so far
-    rows = [Counter({0: 1})]
-    for j, g in runs.items():
-        new = [Counter() for _ in range(min(len(rows) + g, k + 1))]
-        for i, row in enumerate(rows):
-            for taken in range(min(g, k - i) + 1):
-                ways = comb(g, taken)
-                for degree, count in row.items():
-                    new[i + taken][degree + j * taken] += ways * count
-        rows = new
-    return rows[k] if k < len(rows) else Counter()
+    Bott kernel: the x^k coefficient of the product of (1 + x q^a(v)) over
+    the span entries v off the tail, where a(v) tail entries lie above v."""
+    # rows[i]: the x^i coefficient of the product over the entries so far
+    rows = [Counter({0: 1})] + [Counter() for _ in range(k)]
+    for v in span:
+        if v not in tail:
+            a = sum(t > v for t in tail)
+            for i in range(k, 0, -1):
+                for degree, count in rows[i - 1].items():
+                    rows[i][degree + a] += count
+    return rows[k]
 
 
 def check_bott_predicate_agreement(max_n: int = 7) -> Check:
@@ -121,16 +118,7 @@ def check_bott_predicate_agreement(max_n: int = 7) -> Check:
     hits the wedge weight of index s, where the predicate applies, for
     exactly the alpha that ``wedge_isotypic`` names, in the degree its
     polynomial gives; s = n is the trivial weight, where ``wedge_isotypic``
-    is ``trivial_isotypic``.  Counterexamples name the first failing alpha
-    in enumeration order.  Each beta also needs exactly comb(n+2k+4, k)
-    nonzero outcomes, one per head disjoint from its shifted tail, and
-    ``bott_preimage`` of each applicable target must name the head the
-    kernel sent there, with its degree, or no head inside the span when the
-    kernel sent none.
-
-    The degree tally of each beta's nonzero outcomes must equal
-    ``_degree_tally``, a product of binomials that never runs the kernel,
-    and a counterexample names the first degree whose count differs.
+    is ``trivial_isotypic``.
 
     The heads of one beta are the k-subsets of the span, and
     ``bott_span_summary`` covers them from kernel runs on three pieces of a
@@ -138,43 +126,43 @@ def check_bott_predicate_agreement(max_n: int = 7) -> Check:
     returns the number of heads, their degree tally and the targets some
     head reaches, with that head's degree, and takes no step per head.  The
     heads it covered must number comb(len(span), k), every k-subset once.
-    Since it joins those outcomes from three pieces, ``bott()`` re-derives
-    every target it reached on the full head, with the same degree.  The
-    pair count in the params sums the heads covered.
+    The degree tally must equal ``_degree_tally``, a product over the span
+    entries off the tail that never runs the kernel, and a counterexample
+    names the first degree whose count differs.  That product counts the
+    k-subsets of the span off the tail, comb(n+2k+4, k) of them since every
+    tail lies in the span, so the tally also fixes the number of nonzero
+    outcomes.
+
+    Then, by target s in increasing order: since the summary joins its
+    outcomes from three pieces, ``bott()`` re-derives a reached target on
+    the full head, with the same degree; ``bott_preimage`` of the target
+    must name the head the kernel sent there, with its degree, or no head
+    inside the span when the kernel sent none; and the alpha and degree
+    that ``wedge_isotypic`` predicts must be that head's.  Counterexamples
+    name the first failing s of the first failing beta.  The pair count in
+    the params sums the heads covered.
     """
     checked = 0
     for n in range(1, max_n + 1):
         for k in range(1, n + 1):
             r = n - k
             # shifted wedge weights (0^s, (-1)^(n-s)); s = n is the trivial one
-            targets = {shifted((0,) * s + (-1,) * (n - s), n): s for s in range(r, n + 1)}
+            wedges = {s: shifted((0,) * s + (-1,) * (n - s), n) for s in range(r, n + 1)}
             # shifted alpha entries; the k-subsets of the span, in
             # combinations order, are the heads of
             # enumerate_weights(k, -n-2, n+2) in the same order
             span = range(2 * n + 1, -k - 3, -1)
-            # every tail lies inside the span, so n+2k+4 entries stay free
-            free_heads = comb(n + 2 * k + 4, k)
             heads = comb(len(span), k)
             for beta in enumerate_box(r, k + 2):
                 bp = padded(beta, r)
-                applicable = [s for s in range(r, n + 1) if all(b >= n - s for b in bp)]
-                predicted = {}
-                for s in applicable:
-                    poly, alpha = wedge_isotypic(beta, k, n, s)
-                    if alpha is not None:
-                        predicted[shifted(alpha, n)] = (s, poly)
+                targets = {s: t for s, t in wedges.items() if all(b >= n - s for b in bp)}
                 tail = shifted(bp, r)
-                covered, tally, reached = bott_span_summary(
-                    tail, span, k, [t for t, s in targets.items() if s in applicable])
+                covered, tally, reached = bott_span_summary(tail, span, k, targets.values())
                 if covered != heads:
                     return False, {"n": n, "k": k, "beta": list(beta), "covered": covered,
                                    "expected_covered": heads}, f"n<={max_n}"
                 # checked counts every (alpha, beta) pair, one outcome each
                 checked += covered
-                nonzero = tally.total()
-                if nonzero != free_heads:
-                    return False, {"n": n, "k": k, "beta": list(beta), "nonzero": nonzero,
-                                   "expected_nonzero": free_heads}, f"n<={max_n}"
                 expected = _degree_tally(tail, span, k)
                 if tally != expected:
                     degree = min(d for d in tally.keys() | expected.keys()
@@ -182,40 +170,31 @@ def check_bott_predicate_agreement(max_n: int = 7) -> Check:
                     return False, {"n": n, "k": k, "beta": list(beta), "degree": degree,
                                    "count": tally[degree], "expected_count": expected[degree]
                                    }, f"n<={max_n}"
-                for target, (degree, head) in reached.items():
-                    alpha = unshifted(head + tail)[:k]
-                    summary = BottCohomology(degree, unshifted(target))
-                    got = bott(alpha, bp, n)
-                    if got != summary:
-                        return False, {"n": n, "k": k, "beta": list(beta), "alpha": list(alpha),
-                                       "summary": _cohomology(summary), "bott": _cohomology(got)
-                                       }, f"n<={max_n}"
-                hit_by_s = {targets[t]: hit for t, hit in reached.items()}
-                hits = {head: (s, degree) for s, (degree, head) in hit_by_s.items()}
-                for target, s in targets.items():
-                    if s not in applicable:
-                        continue
+                for s, target in targets.items():
+                    hit = reached.get(target)
+                    found = hit and unshifted(hit[1] + tail)[:k]
+                    if hit:
+                        summary = BottCohomology(hit[0], unshifted(target))
+                        got = bott(found, bp, n)
+                        if got != summary:
+                            return False, {"n": n, "k": k, "beta": list(beta), "s": s,
+                                           "alpha": list(found), "summary": _cohomology(summary),
+                                           "bott": _cohomology(got)}, f"n<={max_n}"
                     pre = bott_preimage(tail, target)
                     if pre is not None and not span[-1] <= pre[1][-1] <= pre[1][0] <= span[0]:
                         pre = None
-                    if pre != hit_by_s.get(s):
+                    if pre != hit:
                         return False, {"n": n, "k": k, "beta": list(beta), "s": s,
                                        "preimage": _alpha_and_degree(pre, tail, k),
-                                       "kernel": _alpha_and_degree(hit_by_s.get(s), tail, k)
-                                       }, f"n<={max_n}"
-                # heads run in decreasing lexicographic order
-                for head in sorted(hits.keys() | predicted.keys(), reverse=True):
-                    pred_s, poly = predicted.get(head, (None, None))
-                    alg_s, degree = hits.get(head, (None, None))
-                    if pred_s != alg_s:
-                        failure = {"predicate_s": pred_s, "algorithm_s": alg_s}
-                    elif LaurentPoly.q(degree) != poly:
-                        failure = {"degree": degree, "expected_degree": poly.top_degree()}
-                    else:
-                        continue
-                    alpha = list(unshifted(head + tail)[:k])
-                    return False, {"n": n, "k": k, "alpha": alpha, "beta": list(beta),
-                                   **failure}, f"n<={max_n}"
+                                       "kernel": _alpha_and_degree(hit, tail, k)}, f"n<={max_n}"
+                    poly, alpha = wedge_isotypic(beta, k, n, s)
+                    if alpha != found:
+                        return False, {"n": n, "k": k, "beta": list(beta), "s": s,
+                                       "predicate_alpha": alpha and list(alpha),
+                                       "algorithm_alpha": found and list(found)}, f"n<={max_n}"
+                    if hit and LaurentPoly.q(hit[0]) != poly:
+                        return False, {"n": n, "k": k, "beta": list(beta), "s": s, "degree": hit[0],
+                                       "expected_degree": poly.top_degree()}, f"n<={max_n}"
     return True, None, (f"n<={max_n}, beta in P(n-k,k+2), alpha entries in [-n-2,n+2]"
                         f" ({checked} pairs)")
 

@@ -209,6 +209,20 @@ def test_span_summary_matches_the_drained_kernel():
                 assert verify_mod._degree_tally(tail, span, k) == tally, (tail, span, k)
 
 
+def test_degree_tally_counts_every_head_off_the_tail():
+    # at every beta of the verify sweep, n<=7, the closed-form tally sums to
+    # the k-subsets of the span off the tail, comb(n+2k+4, k) since every
+    # tail lies in the span; so the sweep's tally comparison also fixes the
+    # number of nonzero outcomes
+    for n in range(1, 8):
+        for k in range(1, n + 1):
+            span = range(2 * n + 1, -k - 3, -1)
+            for beta in enumerate_box(n - k, k + 2):
+                tail = shifted(padded(beta, n - k), n - k)
+                assert set(tail) <= set(span)
+                assert verify_mod._degree_tally(tail, span, k).total() == comb(n + 2 * k + 4, k)
+
+
 def test_span_summary_drains_one_outcome_per_piece(monkeypatch):
     # at the verify sweep's spans and tails, n<=5, the summary drains one
     # kernel outcome per suffix of m = k // 2 entries (m = k = 1 keeps the

@@ -37,7 +37,7 @@ HEAD_DEGREE = "yield sum(map(above, head)),"
 PREIMAGE_DEGREE = "return sum(map(_CountAbove(tail).__getitem__, head)), head"
 WEDGE = "return LaurentPoly.q(size(beta)), alpha"
 AT_N1 = {"n": 1, "k": 1}
-LONG_HEAD = [0, 0, 0, -1, -1]
+LONG_HEAD = [-1] * 5
 GAUSS, TRIPLE, LCD = "gauss-identities", "ext-triple-agreement", "lcd-closed-forms"
 EXAMPLE, NONDEGENERACY, FILTRATION = "example-reproduction", "nondegeneracy-witness", "filtration"
 QS, EXT, CO, CH = (f"loccoh.{m}" for m in ("qseries", "extmult", "cohomology", "characters"))
@@ -47,19 +47,20 @@ LAYER_AT_N2 = {"layer": 0, "partition": [], "quotient_character": [[], [2], [4]]
 N2_D4 = {"symm_n": 2, "skew_n": 2, "bound": 4}
 
 MUTANTS = (
-    # the sweep reads its predicted alphas and degrees off wedge_isotypic;
-    # s = n is the trivial weight
+    # the sweep reads its predicted alphas and degrees off wedge_isotypic,
+    # target by target s; s = n is the trivial weight
     Mutant("wedge-alpha-at-s-equal-n", "loccoh.bott", "wedge_isotypic", WEDGE,
            WEDGE + " if s < n else (alpha[0] + 1, *alpha[1:])", SWEEP, {"max_n": 3}, "n<=3",
-           {**AT_N1, "alpha": [1], "beta": [], "predicate_s": 1, "algorithm_s": None}),
+           {**AT_N1, "beta": [], "s": 1, "predicate_alpha": [1], "algorithm_alpha": [0]}),
     Mutant("wedge-degree-plus-one", "loccoh.bott", "wedge_isotypic", WEDGE,
            WEDGE.replace("(beta))", "(beta) + 1)"), SWEEP, {"max_n": 3}, "n<=3",
-           {**AT_N1, "alpha": [0], "beta": [], "degree": 0, "expected_degree": 1}),
+           {**AT_N1, "beta": [], "s": 0, "degree": 0, "expected_degree": 1}),
     # a kernel that never reports a repeated entry hits no wrong target;
-    # only the nonzero count catches it: at beta=(3,), 8 of the 9 heads miss
+    # the degree tally catches it: at n=2, beta=(3,) the head (3,) meets the
+    # tail (3,) but adds a third outcome of degree 0 to those of (5,) and (4,)
     Mutant("kernel-never-none", "loccoh.bott", "bott_kernel", "if isdisjoint(head):", "if True:",
            SWEEP, {"max_n": 3}, "n<=3",
-           {"n": 2, "k": 1, "beta": [3], "nonzero": 9, "expected_nonzero": 8}),
+           {"n": 2, "k": 1, "beta": [3], "degree": 0, "count": 3, "expected_count": 2}),
     # one more degree for heads over 3 above the tail keeps every count and
     # target at n <= 3; only the degree tally catches it (head (5,) at beta=(1,))
     Mutant("kernel-degree-above-tail", "loccoh.bott", "bott_kernel", HEAD_DEGREE,
@@ -67,19 +68,20 @@ MUTANTS = (
            "n<=3", {"n": 2, "k": 1, "beta": [1], "degree": 0, "count": 3, "expected_count": 4}),
     # the summary runs the kernel on the three pieces of each head, at most
     # two entries at n <= 5, so only bott() on a full head sees heads of
-    # five entries
+    # five entries; s = 0 is the first target at n = k = 5
     Mutant("kernel-degree-long-heads", "loccoh.bott", "bott_kernel", HEAD_DEGREE,
            HEAD_DEGREE[:-1] + " + (len(head) >= 5),", SWEEP, {"max_n": 5}, "n<=5",
-           {"n": 5, "k": 5, "beta": [], "alpha": LONG_HEAD,
+           {"n": 5, "k": 5, "beta": [], "s": 0, "alpha": LONG_HEAD,
             "summary": {"degree": 0, "weight": LONG_HEAD},
             "bott": {"degree": 1, "weight": LONG_HEAD}}),
     # a degree reaches k(n-k) = 12 only at n = 7, k = 3 or 4, where each
-    # piece of a head stays below 12; only bott() on the full head sees it
+    # piece of a head stays below 12; only bott() on the full head sees it,
+    # first at s = 4, the lowest target that beta=(3, 3, 3, 3) allows
     Mutant("kernel-degree-capped-at-11", "loccoh.bott", "bott_kernel", HEAD_DEGREE,
            "yield min(sum(map(above, head)), 11),", SWEEP, {}, "n<=7",
-           {"n": 7, "k": 3, "beta": [3, 3, 3, 3], "alpha": [-4, -4, -5],
-            "summary": {"degree": 12, "weight": [0] * 6 + [-1]},
-            "bott": {"degree": 11, "weight": [0] * 6 + [-1]}}),
+           {"n": 7, "k": 3, "beta": [3, 3, 3, 3], "s": 4, "alpha": [-5, -5, -5],
+            "summary": {"degree": 12, "weight": [0] * 4 + [-1] * 3},
+            "bott": {"degree": 11, "weight": [0] * 4 + [-1] * 3}}),
     # skipping the pivots that are tail entries at k = 5 loses only heads
     # that meet the tail, and the next pivot still drains the skipped block
     # of prefixes; only the heads covered catch it.  At beta=(7,) the pivot 7

@@ -35,7 +35,9 @@ def grid() -> list[list[str]]:
     """Every ``--max-n`` up to 6 on the whole suite, the windows around the
     worked example's weight size 14, each named suite at ``--max-n 2``;
     ``lcd`` at every rank with n, m <= 12, and ``ext`` on every route at
-    every witness index of ``verify``'s ranges (skew n <= 8, symm n <= 7)."""
+    every witness index of ``verify``'s ranges (skew n <= 8, symm n <= 7);
+    ``hpq`` as a table at every rank with n, m <= 12, and in json and csv
+    at every rank with n, m <= 4."""
     return ([["verify", "--max-n", str(k)] for k in range(1, 7)]
             + [["verify", "--max-n", "3", "--bound", str(b)] for b in (13, 14, 20)]
             + [["verify", "--suite", s, "--max-n", "2"] for s in SUITES if s != "all"]
@@ -44,7 +46,11 @@ def grid() -> list[list[str]]:
             + [["ext", "--space", space, "--n", str(n), "--p", str(p), "--s", str(s),
                 *_option("--j", j), "--route", route]
                for space, n, p, s, j in _witness_cases((SKEW, 8), (SYMM, 7))
-               for route in WITNESS_ROUTES])
+               for route in WITNESS_ROUTES]
+            + [["hpq", "--space", space, "--n", str(n), *_option("--m", m), "--p", str(p),
+                "--format", form]
+               for form, top in (("table", 12), ("json", 4), ("csv", 4))
+               for space, n, p, m in _ranks((GENERAL, top), (SKEW, top), (SYMM, top))])
 
 
 def answer(argv: list[str]) -> str:
